@@ -15,19 +15,19 @@ import (
 // (possibly with different algorithms and bounds) and individually
 // retrievable without decoding the others.
 //
-// Three layouts exist. v1 (magic 0xC7) packs blobs back to back with
-// only lengths in the directory, so offsets are implicit. v2 (magic
-// 0xC9, what ArchiveWriter emits) records each blob's offset
-// explicitly, directory up front:
+// Three layouts exist, and ArchiveStreamWriter writes only the newest;
+// the other two are read so archives written by earlier versions still
+// open. v1 (magic 0xC7) packs blobs back to back with only lengths in
+// the directory, so offsets are implicit. v2 (magic 0xC9) records each
+// blob's offset explicitly, directory up front:
 //
 //	archive := magic(0xC9) version(0x01) uvarint(count) entry*
 //	           crc32be(blob area) blob area
 //	entry   := uvarint(name len) name uvarint(offset) uvarint(blob len)
 //
-// with offsets relative to the start of the blob area. v3 (magic 0xCA,
-// what ArchiveStreamWriter emits) moves the directory to the tail so
-// blobs can stream to the sink as fields complete, before their sizes
-// are known:
+// with offsets relative to the start of the blob area. v3 (magic 0xCA)
+// moves the directory to the tail so blobs can stream to the sink as
+// fields complete, before their sizes are known:
 //
 //	archive := magic(0xCA) version(0x01) blob area dir trailer
 //	dir     := uvarint(count) entry*            // same entry grammar as v2
@@ -56,109 +56,49 @@ const (
 	maxFieldName     = 4096
 )
 
-// ArchiveWriter accumulates fields.
-type ArchiveWriter struct {
-	names []string
-	blobs [][]byte
-}
-
-// NewArchiveWriter returns an empty archive builder.
-func NewArchiveWriter() *ArchiveWriter { return &ArchiveWriter{} }
-
-// AddCompressed adds an already-compressed stream under name. Names must
-// be unique and non-empty.
-func (w *ArchiveWriter) AddCompressed(name string, stream []byte) error {
-	if name == "" || len(name) > maxFieldName {
-		return fmt.Errorf("repro: invalid field name %q", name)
-	}
-	for _, n := range w.names {
-		if n == name {
-			return fmt.Errorf("repro: duplicate field %q", name)
-		}
-	}
-	if !IsParallelStream(stream) && !IsStreamContainer(stream) {
-		if _, err := AlgorithmOf(stream); err != nil {
-			return fmt.Errorf("repro: field %q: %w", name, err)
-		}
-	}
-	w.names = append(w.names, name)
-	w.blobs = append(w.blobs, stream)
-	return nil
-}
-
-// Add compresses data under a point-wise relative bound and adds it.
-func (w *ArchiveWriter) Add(name string, data []float64, dims []int, relBound float64, algo Algorithm, opts *Options) error {
-	buf, err := Compress(data, dims, relBound, algo, opts)
-	if err != nil {
-		return fmt.Errorf("repro: field %q: %w", name, err)
-	}
-	return w.AddCompressed(name, buf)
-}
-
-// Bytes serializes the archive in the v2 layout (explicit offsets,
-// packed back to back).
-func (w *ArchiveWriter) Bytes() []byte {
-	out := []byte{archiveMagicV2, archiveV2Ver}
-	out = bitio.AppendUvarint(out, uint64(len(w.names)))
-	var off uint64
-	for i, n := range w.names {
-		out = bitio.AppendUvarint(out, uint64(len(n)))
-		out = append(out, n...)
-		out = bitio.AppendUvarint(out, off)
-		out = bitio.AppendUvarint(out, uint64(len(w.blobs[i])))
-		off += uint64(len(w.blobs[i]))
-	}
-	var crc uint32
-	for _, b := range w.blobs {
-		crc = crc32.Update(crc, crc32.IEEETable, b)
-	}
-	out = binary.BigEndian.AppendUint32(out, crc)
-	for _, b := range w.blobs {
-		out = append(out, b...)
-	}
-	return out
-}
-
 // ArchiveReader indexes an archive for random field access.
 type ArchiveReader struct {
 	names  []string
 	blobs  [][]byte
 	byName map[string][]byte
-	limits *DecodeLimits
+	opts   []StreamOption
 }
 
-// OpenArchive parses an archive produced by ArchiveWriter.Bytes (v2) or
-// by earlier versions of this package (v1).
-func OpenArchive(buf []byte) (*ArchiveReader, error) {
-	return OpenArchiveLimits(buf, nil)
-}
-
-// OpenArchiveLimits is OpenArchive with decode limits (nil = unlimited):
-// MaxFields bounds the directory, MaxChunkBytes bounds each blob, and
-// both are enforced while parsing the directory, before any blob-sized
-// work. The limits are retained by the reader and applied again when
-// Field decodes a blob.
-func OpenArchiveLimits(buf []byte, limits *DecodeLimits) (_ *ArchiveReader, err error) {
+// OpenArchive parses an in-memory archive in any layout this package
+// writes or has written: v3 (ArchiveStreamWriter) or the legacy v2 and
+// v1 layouts. WithLimits is enforced while parsing the directory, before
+// any blob-sized work: MaxFields bounds the directory and MaxChunkBytes
+// each blob. The reader keeps opts and passes them to DecompressAny
+// when Field decodes a blob, so the limits apply again there, along
+// with WithWorkers and WithContext.
+func OpenArchive(buf []byte, opts ...StreamOption) (_ *ArchiveReader, err error) {
 	defer recoverDecode(&err)
+	limits := resolveStreamConfig(opts).Limits
 	if len(buf) < 2 {
 		return nil, fmt.Errorf("%w: %d-byte archive", ErrTruncated, len(buf))
 	}
+	var r *ArchiveReader
 	switch buf[0] {
 	case archiveMagic:
-		return openArchiveV1(buf, limits)
+		r, err = openArchiveV1(buf, limits)
 	case archiveMagicV2:
 		if buf[1] != archiveV2Ver {
 			return nil, fmt.Errorf("%w: archive v2 version 0x%02x", ErrUnsupportedFormat, buf[1])
 		}
-		return openArchiveV2(buf, limits)
+		r, err = openArchiveV2(buf, limits)
 	case archiveMagicV3:
 		if buf[1] != archiveV3Ver {
 			return nil, fmt.Errorf("%w: archive v3 version 0x%02x", ErrUnsupportedFormat, buf[1])
 		}
-		return openArchiveV3(buf, limits)
+		r, err = openArchiveV3(buf, limits)
 	default:
 		return nil, fmt.Errorf("%w: leading byte 0x%02x is not an archive", ErrUnsupportedFormat, buf[0])
 	}
+	if err != nil {
+		return nil, err
+	}
+	r.opts = opts
+	return r, nil
 }
 
 // readDirCount parses and sanity-bounds the directory count at buf[off:].
@@ -185,7 +125,7 @@ func openArchiveV1(buf []byte, limits *DecodeLimits) (*ArchiveReader, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &ArchiveReader{byName: make(map[string][]byte, count), limits: limits}
+	r := &ArchiveReader{byName: make(map[string][]byte, count)}
 	lengths := make([]int, count)
 	var total uint64
 	for i := 0; i < count; i++ {
@@ -303,8 +243,8 @@ func validateExtents(entries []dirEntry, areaSize uint64) error {
 }
 
 // newArchiveReader builds a reader over a validated blob area.
-func newArchiveReader(entries []dirEntry, area []byte, limits *DecodeLimits) *ArchiveReader {
-	r := &ArchiveReader{byName: make(map[string][]byte, len(entries)), limits: limits}
+func newArchiveReader(entries []dirEntry, area []byte) *ArchiveReader {
+	r := &ArchiveReader{byName: make(map[string][]byte, len(entries))}
 	for _, e := range entries {
 		blob := area[e.off : e.off+e.len]
 		r.names = append(r.names, e.name)
@@ -335,7 +275,7 @@ func openArchiveV2(buf []byte, limits *DecodeLimits) (*ArchiveReader, error) {
 	if crc32.ChecksumIEEE(area) != wantCRC {
 		return nil, fmt.Errorf("%w: archive checksum mismatch", ErrCorrupt)
 	}
-	return newArchiveReader(entries, area, limits), nil
+	return newArchiveReader(entries, area), nil
 }
 
 // openArchiveV3 parses the tail-directory layout from a full in-memory
@@ -349,7 +289,7 @@ func openArchiveV3(buf []byte, limits *DecodeLimits) (*ArchiveReader, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newArchiveReader(entries, area, limits), nil
+	return newArchiveReader(entries, area), nil
 }
 
 // parseArchiveV3 locates and verifies a v3 trailer + directory in buf
@@ -417,13 +357,13 @@ func (r *ArchiveReader) Raw(name string) ([]byte, error) {
 	return blob, nil
 }
 
-// Field decompresses one field by name, under the limits the archive was
-// opened with.
+// Field decompresses one field by name, under the options the archive
+// was opened with.
 func (r *ArchiveReader) Field(name string) (_ []float64, _ []int, err error) {
 	defer recoverDecode(&err)
 	blob, err := r.Raw(name)
 	if err != nil {
 		return nil, nil, err
 	}
-	return DecompressAnyLimits(blob, r.limits)
+	return DecompressAny(blob, r.opts...)
 }

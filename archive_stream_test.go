@@ -457,7 +457,7 @@ func TestArchiveV3Adversarial(t *testing.T) {
 	// Limits: MaxFields bounds the directory on both paths.
 	two := buildStreamArchive(t, map[string][]float64{"x": f.Data, "y": f.Data}, f.Dims)
 	lim := &DecodeLimits{MaxFields: 1}
-	if _, err := OpenArchiveLimits(two, lim); !errors.Is(err, ErrLimitExceeded) {
+	if _, err := OpenArchive(two, WithLimits(lim)); !errors.Is(err, ErrLimitExceeded) {
 		t.Errorf("MaxFields, in-memory: err = %v, want ErrLimitExceeded", err)
 	}
 	if _, err := OpenArchiveStream(bytes.NewReader(two), WithLimits(lim)); !errors.Is(err, ErrLimitExceeded) {

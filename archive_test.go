@@ -1,9 +1,11 @@
 package repro
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"io"
 	"math"
 	"math/rand"
 	"strings"
@@ -15,19 +17,45 @@ import (
 	"repro/internal/metrics"
 )
 
+// sealArchive bundles already-compressed blobs into an in-memory v3
+// archive through ArchiveStreamWriter over a bytes.Buffer.
+func sealArchive(t *testing.T, names []string, blobs [][]byte) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w, err := NewArchiveStreamWriter(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, name := range names {
+		if err := w.AddCompressed(name, blobs[i]); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 func TestArchiveRoundTrip(t *testing.T) {
 	fields := datagen.NYX(16, 40)
-	w := NewArchiveWriter()
+	var buf bytes.Buffer
+	w, err := NewArchiveStreamWriter(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
 	rel := 1e-2
 	for i := range fields {
 		f := &fields[i]
-		if err := w.Add(f.Name, f.Data, f.Dims, rel, SZT, nil); err != nil {
+		if _, err := w.AddField(f.Name, bytes.NewReader(rawLE(f.Data)), f.Dims, rel, SZT); err != nil {
 			t.Fatalf("%s: %v", f.Name, err)
 		}
 	}
-	buf := w.Bytes()
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
 
-	r, err := OpenArchive(buf)
+	r, err := OpenArchive(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,30 +93,28 @@ func TestArchiveMixedAlgorithmsAndModes(t *testing.T) {
 	for i := range data {
 		data[i] = math.Exp(rng.NormFloat64())
 	}
-	w := NewArchiveWriter()
-	if err := w.Add("szt", data, []int{1000}, 1e-3, SZT, nil); err != nil {
+	szt, err := Compress(data, []int{1000}, 1e-3, SZT, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
 	abs, err := CompressAbs(data, []int{1000}, 0.01, SZABS, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.AddCompressed("abs", abs); err != nil {
-		t.Fatal(err)
-	}
-	par, err := CompressParallel(data, []int{1000}, 1e-2, FPZIP, &ParallelOptions{Chunks: 3})
+	par, err := CompressParallelOpts(data, []int{1000}, 1e-2, FPZIP, WithChunkRows(334))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.AddCompressed("par", par); err != nil {
-		t.Fatal(err)
-	}
-
-	r, err := OpenArchive(w.Bytes())
+	legacy, err := buildParallelV1(data, []int{1000}, 1e-2, FPZIP, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"szt", "abs", "par"} {
+	names := []string{"szt", "abs", "par", "legacy"}
+	r, err := OpenArchive(sealArchive(t, names, [][]byte{szt, abs, par, legacy}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range names {
 		dec, _, err := r.Field(name)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -105,7 +131,10 @@ func TestArchiveMixedAlgorithmsAndModes(t *testing.T) {
 }
 
 func TestArchiveWriterValidation(t *testing.T) {
-	w := NewArchiveWriter()
+	w, err := NewArchiveStreamWriter(io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := w.AddCompressed("", []byte{1}); err == nil {
 		t.Fatal("empty name accepted")
 	}
@@ -125,8 +154,7 @@ func TestArchiveWriterValidation(t *testing.T) {
 }
 
 func TestArchiveEmpty(t *testing.T) {
-	buf := NewArchiveWriter().Bytes()
-	r, err := OpenArchive(buf)
+	r, err := OpenArchive(sealArchive(t, nil, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,11 +164,11 @@ func TestArchiveEmpty(t *testing.T) {
 }
 
 func TestArchiveCorrupt(t *testing.T) {
-	w := NewArchiveWriter()
-	if err := w.Add("f", []float64{1, 2, 3, 4}, []int{4}, 0.1, SZT, nil); err != nil {
+	blob, err := Compress([]float64{1, 2, 3, 4}, []int{4}, 0.1, SZT, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	buf := w.Bytes()
+	buf := sealArchive(t, []string{"f"}, [][]byte{blob})
 	for _, cut := range []int{0, 1, 3, len(buf) - 1} {
 		if _, err := OpenArchive(buf[:cut]); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
@@ -150,7 +178,7 @@ func TestArchiveCorrupt(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for i := 0; i < 100; i++ {
 		mut := append([]byte(nil), buf...)
-		mut[len(mut)-1-rng.Intn(8)] ^= byte(1 << rng.Intn(8))
+		mut[2+rng.Intn(len(blob))] ^= byte(1 << rng.Intn(8))
 		if _, err := OpenArchive(mut); err == nil {
 			t.Fatal("blob corruption not detected")
 		}
@@ -174,6 +202,42 @@ func buildArchiveV2(entries []struct {
 	}
 	out = binary.BigEndian.AppendUint32(out, crc32.ChecksumIEEE(area))
 	return append(out, area...)
+}
+
+// buildParallelV1 assembles the legacy 0xC6 parallel container that
+// earlier versions of CompressParallelOpts wrote, so the reader that
+// still decodes it stays covered now that nothing writes it:
+//
+//	magic(0xC6) algo uvarint(rank) uvarint(dim)* uvarint(chunks)
+//	uvarint(chunk len)* chunk*
+//
+// with chunk c one Compress stream over the rows chunkStarts assigns it.
+func buildParallelV1(data []float64, dims []int, relBound float64, algo Algorithm, chunks int) ([]byte, error) {
+	rowStride := len(data) / dims[0]
+	starts := chunkStarts(dims[0], chunks)
+	blobs := make([][]byte, chunks)
+	for c := range blobs {
+		lo, hi := starts[c], starts[c+1]
+		sub := append([]int{hi - lo}, dims[1:]...)
+		blob, err := Compress(data[lo*rowStride:hi*rowStride], sub, relBound, algo, nil)
+		if err != nil {
+			return nil, err
+		}
+		blobs[c] = blob
+	}
+	out := []byte{parallelMagic, byte(algo)}
+	out = bitio.AppendUvarint(out, uint64(len(dims)))
+	for _, d := range dims {
+		out = bitio.AppendUvarint(out, uint64(d))
+	}
+	out = bitio.AppendUvarint(out, uint64(chunks))
+	for _, b := range blobs {
+		out = bitio.AppendUvarint(out, uint64(len(b)))
+	}
+	for _, b := range blobs {
+		out = append(out, b...)
+	}
+	return out, nil
 }
 
 // TestArchiveOverlappingEntries is the regression test for directory

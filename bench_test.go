@@ -301,9 +301,9 @@ func BenchmarkDecompressISABELA(b *testing.B) { benchDecompress(b, repro.ISABELA
 // --- Streaming pipeline benchmarks -------------------------------------
 //
 // BenchmarkCompressParallel vs BenchmarkCompressStream on the same field
-// and chunking is the acceptance comparison for the bounded-memory
-// pipeline: the streaming path must stay within ~10% of the in-memory
-// parallel path's throughput while holding O(workers × chunk) floats.
+// and chunking compares the two ways into the one stream pipeline: a
+// float64 slice already in memory against raw bytes from an io.Reader.
+// Both write the same container while holding O(workers × chunk) floats.
 
 func benchStreamField(b *testing.B) (datagen.Field, []byte) {
 	b.Helper()
@@ -319,12 +319,13 @@ const benchStreamChunks = 8
 
 func BenchmarkCompressParallel(b *testing.B) {
 	f, _ := benchStreamField(b)
+	chunkRows := (f.Dims[0] + benchStreamChunks - 1) / benchStreamChunks
 	b.SetBytes(int64(f.Bytes()))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf, err := repro.CompressParallel(f.Data, f.Dims, 1e-2, repro.SZT,
-			&repro.ParallelOptions{Chunks: benchStreamChunks})
+		buf, err := repro.CompressParallelOpts(f.Data, f.Dims, 1e-2, repro.SZT,
+			repro.WithChunkRows(chunkRows))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -344,8 +345,8 @@ func BenchmarkCompressStream(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		out.Reset()
-		st, err := repro.CompressStream(bytes.NewReader(raw), &out, f.Dims, 1e-2, repro.SZT,
-			&repro.StreamOptions{ChunkRows: chunkRows})
+		st, err := repro.CompressStreamOpts(bytes.NewReader(raw), &out, f.Dims, 1e-2, repro.SZT,
+			repro.WithChunkRows(chunkRows))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -360,8 +361,8 @@ func BenchmarkDecompressStream(b *testing.B) {
 	f, raw := benchStreamField(b)
 	chunkRows := (f.Dims[0] + benchStreamChunks - 1) / benchStreamChunks
 	var comp bytes.Buffer
-	if _, err := repro.CompressStream(bytes.NewReader(raw), &comp, f.Dims, 1e-2, repro.SZT,
-		&repro.StreamOptions{ChunkRows: chunkRows}); err != nil {
+	if _, err := repro.CompressStreamOpts(bytes.NewReader(raw), &comp, f.Dims, 1e-2, repro.SZT,
+		repro.WithChunkRows(chunkRows)); err != nil {
 		b.Fatal(err)
 	}
 	stream := comp.Bytes()
@@ -369,7 +370,7 @@ func BenchmarkDecompressStream(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := repro.DecompressStream(bytes.NewReader(stream), io.Discard); err != nil {
+		if _, err := repro.DecompressStreamOpts(bytes.NewReader(stream), io.Discard); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -390,8 +391,8 @@ func BenchmarkReadRows(b *testing.B) {
 		binary.LittleEndian.PutUint64(raw[i*8:], math.Float64bits(v))
 	}
 	var comp bytes.Buffer
-	if _, err := repro.CompressStream(bytes.NewReader(raw), &comp, []int{rows, stride},
-		1e-2, repro.SZT, &repro.StreamOptions{ChunkRows: 1}); err != nil {
+	if _, err := repro.CompressStreamOpts(bytes.NewReader(raw), &comp, []int{rows, stride},
+		1e-2, repro.SZT, repro.WithChunkRows(1)); err != nil {
 		b.Fatal(err)
 	}
 	stream := comp.Bytes()

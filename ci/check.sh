@@ -28,19 +28,12 @@ fi
 step "go vet"
 go vet ./...
 
-step "pwrvet cache freshness"
+step "pwrvet (domain lint, baseline-gated)"
 PWRVET="$(mktemp -d)/pwrvet"
 trap 'rm -rf "$(dirname "${PWRVET}")"' EXIT
 go build -o "${PWRVET}" ./cmd/pwrvet
-# The committed summary cache must match the tracked sources, so every
-# checkout gets the sub-second replay path. When this fails, run
-#   go run ./cmd/pwrvet -cache ci/pwrvet-cache.json ./...
-# and commit the refreshed ci/pwrvet-cache.json.
-"${PWRVET}" -cache ci/pwrvet-cache.json -cache-verify
-
-step "pwrvet (domain lint, baseline-gated, cached)"
 lint_start="$(date +%s)"
-"${PWRVET}" -stats -cache ci/pwrvet-cache.json -baseline ci/pwrvet-baseline.json ./...
+"${PWRVET}" -stats -baseline ci/pwrvet-baseline.json ./...
 lint_end="$(date +%s)"
 lint_elapsed=$((lint_end - lint_start))
 echo "module-wide pass: ${lint_elapsed}s"

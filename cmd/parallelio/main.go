@@ -8,9 +8,9 @@
 //	parallelio -cores 1024,2048,4096 -rel 1e-2 -per-rank-gb 3 -peak-write-gbs 8
 //
 // With -stream the per-core rates are measured through the bounded-memory
-// streaming pipeline (CompressStream/DecompressStream) instead of the
-// in-memory compressors — the regime a rank dumping a field larger than
-// its memory budget actually runs in.
+// streaming pipeline (CompressStreamOpts/DecompressStreamOpts) instead of
+// the in-memory compressors — the regime a rank dumping a field larger
+// than its memory budget actually runs in.
 package main
 
 import (
@@ -74,14 +74,14 @@ func main() {
 			decompressFn := func(buf []byte) error { _, _, err := repro.Decompress(buf); return err }
 			if *stream {
 				raw := rawLE(f.Data)
-				opts := &repro.StreamOptions{Workers: *workers}
 				compressFn = func() ([]byte, error) {
 					var out bytes.Buffer
-					_, err := repro.CompressStream(bytes.NewReader(raw), &out, f.Dims, *rel, algo, opts)
+					_, err := repro.CompressStreamOpts(bytes.NewReader(raw), &out, f.Dims, *rel, algo,
+						repro.WithWorkers(*workers))
 					return out.Bytes(), err
 				}
 				decompressFn = func(buf []byte) error {
-					_, err := repro.DecompressStream(bytes.NewReader(buf), io.Discard)
+					_, err := repro.DecompressStreamOpts(bytes.NewReader(buf), io.Discard)
 					return err
 				}
 			}

@@ -23,63 +23,12 @@ import (
 //	pwrc -c -archive -manifest fields/MANIFEST.txt -algo sz_t -rel 1e-3 -out snap.arc
 //	pwrc -d -archive -in snap.arc -outdir restored/
 //
-// With -stream the bundle is a v3 streaming archive: each field flows
-// through the bounded-memory chunk pipeline straight into the container
-// (no field is ever held whole), and extraction serves fields through
-// the seekable index — -field pulls one field without touching the rest.
-
-func compressArchive(manifest string, algo repro.Algorithm, rel float64, opts *repro.Options, out string, f32 bool) error {
-	dir := filepath.Dir(manifest)
-	mf, err := os.Open(manifest)
-	if err != nil {
-		return err
-	}
-	defer mf.Close() //lint:allow errdrop read-only file; scanner errors are checked
-
-	w := repro.NewArchiveWriter()
-	scanner := bufio.NewScanner(mf)
-	totalRaw := 0
-	t0 := time.Now()
-	for scanner.Scan() {
-		line := strings.TrimSpace(scanner.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		parts := strings.Split(line, "\t")
-		if len(parts) < 2 {
-			return fmt.Errorf("malformed manifest line %q", line)
-		}
-		name, dimsStr := parts[0], parts[1]
-		dims, err := parseDims(dimsStr)
-		if err != nil {
-			return fmt.Errorf("%s: %w", name, err)
-		}
-		data, err := readRaw(filepath.Join(dir, name), f32)
-		if err != nil {
-			return fmt.Errorf("%s: %w", name, err)
-		}
-		buf, err := repro.Compress(data, dims, rel, algo, opts)
-		if err != nil {
-			return fmt.Errorf("%s: %w", name, err)
-		}
-		if err := w.AddCompressed(name+"|"+dimsStr, buf); err != nil {
-			return err
-		}
-		totalRaw += len(data) * 8
-		fmt.Printf("  %s: %d -> %d bytes\n", name, len(data)*8, len(buf))
-	}
-	if err := scanner.Err(); err != nil {
-		return err
-	}
-	arc := w.Bytes()
-	if err := os.WriteFile(out, arc, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("archive %s: %d -> %d bytes (CR %.2f) in %v\n",
-		out, totalRaw, len(arc), float64(totalRaw)/float64(len(arc)),
-		time.Since(t0).Round(time.Millisecond))
-	return nil
-}
+// The bundle is always a v3 streaming archive: each field flows through
+// the bounded-memory chunk pipeline straight into the container (no
+// field is ever held whole). Plain -d -archive loads the whole archive
+// and reads every layout, including the v1/v2 archives earlier versions
+// wrote; with -stream, extraction serves v3 fields through the seekable
+// index — -field pulls one field without touching the rest.
 
 // streamCompressArchive bundles every manifest field into one v3
 // streaming archive. Each field file streams through the bounded-memory

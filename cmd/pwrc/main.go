@@ -18,10 +18,10 @@
 //	pwrc -d -stream -in huge.szs -out huge.out.f64
 //
 // -mem-budget caps the streaming pipeline's resident buffer memory,
-// deriving chunk size and worker count from the byte budget. Combined
-// with -archive, -stream bundles a whole manifest into one v3 streaming
-// archive (or serves single fields out of one without touching the
-// rest):
+// deriving chunk size and worker count from the byte budget. -c -archive
+// bundles a whole manifest into one v3 streaming archive, and with
+// -stream, -d -archive serves single fields out of one without touching
+// the rest:
 //
 //	pwrc -c -archive -stream -manifest fields/MANIFEST.txt -rel 1e-3 -out snap.arcs -mem-budget 67108864
 //	pwrc -d -archive -stream -in snap.arcs -outdir restored/
@@ -112,15 +112,11 @@ func main() {
 			if !(*rel > 0 && *rel < 1) {
 				fatalf("archive compression needs -rel in (0,1)")
 			}
-			if *stream {
-				copts, err := parseBase(*base)
-				check(err)
-				sopts := append(streamFlagOptions(*workers, *chunkRows, *parity, *verify, *memBudget),
-					repro.WithCompressorOptions(copts))
-				check(streamCompressArchive(*manifest, algo, *rel, sopts, *out, *f32))
-			} else {
-				check(compressArchive(*manifest, algo, *rel, nil, *out, *f32))
-			}
+			copts, err := parseBase(*base)
+			check(err)
+			sopts := append(streamFlagOptions(*workers, *chunkRows, *parity, *verify, *memBudget),
+				repro.WithCompressorOptions(copts))
+			check(streamCompressArchive(*manifest, algo, *rel, sopts, *out, *f32))
 		default:
 			if *in == "" {
 				fatalf("archive extraction needs -in")

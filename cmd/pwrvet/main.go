@@ -37,16 +37,8 @@
 // edits do not invalidate it) are accepted and do not affect the exit
 // status. Regenerate the baseline with: pwrvet -json > file.
 //
-// With -cache file, per-function analysis summaries are cached keyed by
-// a content-hash manifest of the tracked sources: an unchanged tree
-// replays the previous run's findings without re-analysis, a partially
-// changed tree re-analyzes only the changed functions, their transitive
-// callers and field-fact readers, and the cache is refreshed after every
-// run. -cache-verify just reports freshness (exit 1 when stale), which
-// is how CI insists the committed cache matches the tracked sources.
-//
-// With -stats, per-check wall times and the cache hit rate are printed
-// after the summary (as NDJSON records carrying a "stat" key with -json).
+// With -stats, per-check wall times are printed after the summary (as
+// NDJSON records carrying a "stat" key with -json).
 //
 // Findings are suppressed inline with:
 //
@@ -75,15 +67,13 @@ func run(args []string, stdout, stderr *os.File) int {
 	fs := flag.NewFlagSet("pwrvet", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		jsonOut   = fs.Bool("json", false, "emit findings as NDJSON (one object per line)")
-		baseline  = fs.String("baseline", "", "NDJSON file of accepted findings (matched by check+file+message)")
-		checks    = fs.String("checks", "", "comma-separated checks to run (default: all)")
-		disable   = fs.String("disable", "", "comma-separated checks to skip")
-		list      = fs.Bool("list", false, "list available checks and exit")
-		quiet     = fs.Bool("q", false, "suppress the summary line")
-		stats     = fs.Bool("stats", false, "print per-check wall time and cache reuse (NDJSON records with -json)")
-		cachePath = fs.String("cache", "", "incremental summary cache file (read if fresh enough, refreshed after the run)")
-		cacheVfy  = fs.Bool("cache-verify", false, "with -cache: report whether the cache is fresh vs the tracked sources and exit (1 = stale)")
+		jsonOut  = fs.Bool("json", false, "emit findings as NDJSON (one object per line)")
+		baseline = fs.String("baseline", "", "NDJSON file of accepted findings (matched by check+file+message)")
+		checks   = fs.String("checks", "", "comma-separated checks to run (default: all)")
+		disable  = fs.String("disable", "", "comma-separated checks to skip")
+		list     = fs.Bool("list", false, "list available checks and exit")
+		quiet    = fs.Bool("q", false, "suppress the summary line")
+		stats    = fs.Bool("stats", false, "print per-check wall time (NDJSON records with -json)")
 	)
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: pwrvet [flags] [dir ...]\n")
@@ -126,117 +116,15 @@ func run(args []string, stdout, stderr *os.File) int {
 		return 2
 	}
 
-	names := make([]string, 0, len(selected))
-	for _, c := range selected {
-		names = append(names, c.Name())
+	mod, err := lint.LoadModule(root)
+	if err != nil {
+		fmt.Fprintln(stderr, "pwrvet:", err)
+		return 2
 	}
-
-	// Incremental cache: hash the tracked sources, diff against the cache
-	// manifest, and decide between replay (nothing changed: reuse the
-	// cached findings without even loading the module), warm (prime
-	// unchanged function summaries) and cold.
-	var (
-		manifest  map[string]string
-		cache     *lint.CacheFile
-		changed   []string
-		cacheMode = "off"
-	)
-	if *cachePath != "" {
-		manifest, err = lint.HashTree(root)
-		if err != nil {
-			fmt.Fprintln(stderr, "pwrvet:", err)
-			return 2
-		}
-		cache, err = lint.LoadCacheFile(*cachePath)
-		if err != nil {
-			if *cacheVfy {
-				fmt.Fprintf(stderr, "pwrvet: cache %s unusable: %v\n", *cachePath, err)
-				fmt.Fprintf(stderr, "regenerate: go run ./cmd/pwrvet -cache %s ./... and commit the result\n", *cachePath)
-				return 1
-			}
-			cache = nil // fall back to a cold run that writes a fresh cache
-		}
-		if cache != nil {
-			changed = lint.DiffFiles(cache.Files, manifest)
-		}
-		if *cacheVfy {
-			if len(changed) > 0 {
-				fmt.Fprintf(stderr, "pwrvet: cache %s is stale: %d tracked file(s) differ\n", *cachePath, len(changed))
-				for _, f := range changed {
-					fmt.Fprintf(stderr, "\t%s\n", f)
-				}
-				fmt.Fprintf(stderr, "regenerate: go run ./cmd/pwrvet -cache %s ./... and commit the result\n", *cachePath)
-				return 1
-			}
-			if !*quiet {
-				fmt.Fprintf(stdout, "pwrvet: cache %s is fresh (%d tracked files)\n", *cachePath, len(manifest))
-			}
-			return 0
-		}
-	}
-
-	var (
-		findings   []lint.Finding
-		suppressed int
-		times      []lint.CheckTime
-		cstats     lint.CacheStats
-		packages   int
-	)
-	if cache != nil && len(changed) == 0 && sameStrings(cache.Checks, names) {
-		// Full hit: the previous run's findings are byte-for-byte valid.
-		cacheMode = "replay"
-		findings = append(findings, cache.Findings...)
-		suppressed = cache.Suppressed
-		packages = cache.Packages
-		cstats = lint.CacheStats{FilesTotal: len(manifest), FilesReused: len(manifest)}
-		// Count per-layer summaries, matching the warm-mode counters.
-		for _, cf := range cache.Funcs {
-			if cf.IP != nil {
-				cstats.FuncsTotal++
-			}
-			if cf.BC != nil {
-				cstats.FuncsTotal++
-			}
-		}
-		cstats.FuncsReused = cstats.FuncsTotal
-	} else {
-		mod, err := lint.LoadModule(root)
-		if err != nil {
-			fmt.Fprintln(stderr, "pwrvet:", err)
-			return 2
-		}
-		if cache != nil {
-			cacheMode = "warm"
-			mod.ApplyCache(cache, changed)
-		} else if *cachePath != "" {
-			cacheMode = "cold"
-		}
-		findings, suppressed, times = mod.RunTimed(selected)
-		packages = len(mod.Packages)
-		if *cachePath != "" {
-			// Refresh the cache before the findings slice is relativized
-			// and filtered in place below.
-			if err := lint.WriteCacheFile(*cachePath, mod.BuildCache(manifest, names, findings, suppressed)); err != nil {
-				fmt.Fprintln(stderr, "pwrvet:", err)
-				return 2
-			}
-			mod.Stats.FilesTotal = len(manifest)
-			if cache != nil {
-				inManifest := 0
-				for _, f := range changed {
-					if _, ok := manifest[f]; ok {
-						inManifest++
-					}
-				}
-				mod.Stats.FilesReused = len(manifest) - inManifest
-			}
-		}
-		cstats = mod.Stats
-	}
+	findings, suppressed, times := mod.RunTimed(selected)
 
 	for i := range findings {
-		// Report module-relative paths. (Replayed findings are already
-		// relative; Rel fails and leaves them untouched.)
+		// Report module-relative paths.
 		if rel, err := filepath.Rel(root, findings[i].File); err == nil {
 			findings[i].File = rel
 		}
@@ -276,10 +164,6 @@ func run(args []string, stdout, stderr *os.File) int {
 		if *stats {
 			// The "stat" key distinguishes these records from findings,
 			// so regenerated baselines that include them stay loadable.
-			if err := enc.Encode(statCache{Stat: "cache", Mode: cacheMode, CacheStats: cstats}); err != nil {
-				fmt.Fprintln(stderr, "pwrvet:", err)
-				return 2
-			}
 			for _, t := range times {
 				rec := statTime{Stat: "check_time", Name: t.Name, WallMS: float64(t.Wall) / 1e6}
 				if err := enc.Encode(rec); err != nil {
@@ -297,13 +181,9 @@ func run(args []string, stdout, stderr *os.File) int {
 		}
 		if !*quiet {
 			fmt.Fprintf(stdout, "pwrvet: %d finding(s), %d suppressed, %d baselined, %d check(s) over %d package(s)\n",
-				len(findings), suppressed, baselined, len(selected), packages)
+				len(findings), suppressed, baselined, len(selected), len(mod.Packages))
 		}
 		if *stats {
-			if cacheMode != "off" {
-				fmt.Fprintf(stdout, "pwrvet: cache %s: %d/%d files reused, %d/%d func summaries reused\n",
-					cacheMode, cstats.FilesReused, cstats.FilesTotal, cstats.FuncsReused, cstats.FuncsTotal)
-			}
 			for _, t := range times {
 				fmt.Fprintf(stdout, "pwrvet: %-12s %8.1fms\n", t.Name, float64(t.Wall)/1e6)
 			}
@@ -315,31 +195,12 @@ func run(args []string, stdout, stderr *os.File) int {
 	return 0
 }
 
-// statCache / statTime are the -stats NDJSON records; the "stat" field
-// keeps them distinguishable from findings.
-type statCache struct {
-	Stat string `json:"stat"`
-	Mode string `json:"mode"`
-	lint.CacheStats
-}
-
+// statTime is the -stats NDJSON record; the "stat" field keeps it
+// distinguishable from findings.
 type statTime struct {
 	Stat   string  `json:"stat"`
 	Name   string  `json:"name"`
 	WallMS float64 `json:"wall_ms"`
-}
-
-// sameStrings reports element-wise equality.
-func sameStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // filterDirs keeps the findings whose (module-relative) file lives under

@@ -48,8 +48,8 @@ func TestCompressStreamCtxPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var sink bytes.Buffer
-	_, err := CompressStreamCtx(ctx, bytes.NewReader(rawLE(data)), &sink, dims, 1e-2, SZT,
-		&StreamOptions{Workers: 2, ChunkRows: 8})
+	_, err := CompressStreamOpts(bytes.NewReader(rawLE(data)), &sink, dims, 1e-2, SZT,
+		WithWorkers(2), WithChunkRows(8), WithContext(ctx))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -63,8 +63,8 @@ func TestCompressStreamCtxMidStream(t *testing.T) {
 	defer cancel()
 	src := &cancelAfterReader{r: bytes.NewReader(raw), n: int64(len(raw) / 4), cancel: cancel}
 	var sink bytes.Buffer
-	stats, err := CompressStreamCtx(ctx, src, &sink, dims, 1e-2, SZT,
-		&StreamOptions{Workers: 2, ChunkRows: 8})
+	stats, err := CompressStreamOpts(src, &sink, dims, 1e-2, SZT,
+		WithWorkers(2), WithChunkRows(8), WithContext(ctx))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -77,22 +77,22 @@ func TestDecompressStreamCtxMidStream(t *testing.T) {
 	defer testutil.NoLeak(t)()
 	data, dims := bigField()
 	var comp bytes.Buffer
-	if _, err := CompressStream(bytes.NewReader(rawLE(data)), &comp, dims, 1e-2, SZT,
-		&StreamOptions{Workers: 2, ChunkRows: 8}); err != nil {
+	if _, err := CompressStreamOpts(bytes.NewReader(rawLE(data)), &comp, dims, 1e-2, SZT,
+		WithWorkers(2), WithChunkRows(8)); err != nil {
 		t.Fatal(err)
 	}
 	stream := comp.Bytes()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := DecompressStreamCtx(ctx, bytes.NewReader(stream), io.Discard, nil); !errors.Is(err, context.Canceled) {
+	if _, err := DecompressStreamOpts(bytes.NewReader(stream), io.Discard, WithContext(ctx)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled: err = %v, want context.Canceled", err)
 	}
 
 	ctx, cancel = context.WithCancel(context.Background())
 	defer cancel()
 	src := &cancelAfterReader{r: bytes.NewReader(stream), n: int64(len(stream) / 4), cancel: cancel}
-	stats, err := DecompressStreamCtx(ctx, src, io.Discard, nil)
+	stats, err := DecompressStreamOpts(src, io.Discard, WithContext(ctx))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("mid-stream: err = %v, want context.Canceled", err)
 	}
@@ -106,21 +106,34 @@ func TestParallelCtxCancelled(t *testing.T) {
 	data, dims := bigField()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := CompressParallel(data, dims, 1e-2, SZT,
-		&ParallelOptions{Chunks: 16, Ctx: ctx}); !errors.Is(err, context.Canceled) {
+	if _, err := CompressParallelOpts(data, dims, 1e-2, SZT,
+		WithChunkRows(32), WithContext(ctx)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("compress: err = %v, want context.Canceled", err)
 	}
-	buf, err := CompressParallel(data, dims, 1e-2, SZT, &ParallelOptions{Chunks: 16})
+	plain, err := Compress(data, dims, 1e-2, SZT, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := DecompressParallelCtx(ctx, buf, 0, nil); !errors.Is(err, context.Canceled) {
-		t.Fatalf("decompress: err = %v, want context.Canceled", err)
+	legacy, err := buildParallelV1(data, dims, 1e-2, SZT, 16)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// A live context must not disturb the result.
-	dec, gotDims, err := DecompressParallelCtx(context.Background(), buf, 0, nil)
-	if err != nil || len(dec) != len(data) || len(gotDims) != len(dims) {
-		t.Fatalf("live ctx decode: err=%v len=%d", err, len(dec))
+	stream, err := CompressParallelOpts(data, dims, 1e-2, SZT, WithChunkRows(32))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		buf  []byte
+	}{{"plain", plain}, {"parallel", legacy}, {"stream", stream}} {
+		if _, _, err := DecompressAny(c.buf, WithContext(ctx), WithWorkers(2)); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s decompress: err = %v, want context.Canceled", c.name, err)
+		}
+		// A live context must not disturb the result.
+		dec, gotDims, err := DecompressAny(c.buf, WithContext(context.Background()), WithWorkers(2))
+		if err != nil || len(dec) != len(data) || len(gotDims) != len(dims) {
+			t.Fatalf("%s live ctx decode: err=%v len=%d", c.name, err, len(dec))
+		}
 	}
 }
 
@@ -133,12 +146,12 @@ func TestStreamCtxNilBehavesAsBackground(t *testing.T) {
 	}
 	var comp bytes.Buffer
 	//lint:allow all nil ctx is the documented convenience form under test
-	if _, err := CompressStreamCtx(nil, bytes.NewReader(rawLE(data)), &comp, []int{64}, 1e-2, SZT, nil); err != nil {
+	if _, err := CompressStreamOpts(bytes.NewReader(rawLE(data)), &comp, []int{64}, 1e-2, SZT, WithContext(nil)); err != nil {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
 	//lint:allow all nil ctx is the documented convenience form under test
-	if _, err := DecompressStreamCtx(nil, bytes.NewReader(comp.Bytes()), &out, nil); err != nil {
+	if _, err := DecompressStreamOpts(bytes.NewReader(comp.Bytes()), &out, WithContext(nil)); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(out.Bytes()[:8], rawLE(data)[:8]) && out.Len() != len(data)*8 {

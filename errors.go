@@ -46,8 +46,7 @@ var (
 )
 
 // ErrVerifyFailed reports a chunk that failed verify-after-encode
-// (StreamOptions.VerifyOnWrite or ParallelOptions.Verify): the sealed
-// payload did not decode back to its source rows within the promised
+// (WithVerifyOnWrite): the sealed payload did not decode back to its source rows within the promised
 // guarantees. It indicates encoder or memory corruption at write time,
 // caught before the container was committed.
 var ErrVerifyFailed = fmt.Errorf("repro: verify-after-encode failed")

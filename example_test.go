@@ -1,6 +1,7 @@
 package repro_test
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 
@@ -48,15 +49,25 @@ func ExampleAlgorithmOf() {
 	// FPZIP
 }
 
-// ExampleArchiveWriter bundles two fields into one snapshot archive and
-// reads one back by name.
-func ExampleArchiveWriter() {
-	w := repro.NewArchiveWriter()
-	_ = w.Add("density", []float64{0.1, 0.2, 0.4, 0.8}, []int{4}, 1e-3, repro.SZT, nil)
-	_ = w.Add("velocity", []float64{-10, 20, -30, 40}, []int{4}, 1e-3, repro.SZT, nil)
-	archive := w.Bytes()
+// ExampleArchiveStreamWriter bundles two fields into one snapshot
+// archive in memory and reads one back by name.
+func ExampleArchiveStreamWriter() {
+	var archive bytes.Buffer
+	w, err := repro.NewArchiveStreamWriter(&archive)
+	if err != nil {
+		fmt.Println("error:", err)
+		return
+	}
+	density, _ := repro.Compress([]float64{0.1, 0.2, 0.4, 0.8}, []int{4}, 1e-3, repro.SZT, nil)
+	velocity, _ := repro.Compress([]float64{-10, 20, -30, 40}, []int{4}, 1e-3, repro.SZT, nil)
+	_ = w.AddCompressed("density", density)
+	_ = w.AddCompressed("velocity", velocity)
+	if err := w.Close(); err != nil {
+		fmt.Println("error:", err)
+		return
+	}
 
-	r, err := repro.OpenArchive(archive)
+	r, err := repro.OpenArchive(archive.Bytes())
 	if err != nil {
 		fmt.Println("error:", err)
 		return
@@ -69,15 +80,15 @@ func ExampleArchiveWriter() {
 	// velocity sign pattern ok: true
 }
 
-// ExampleCompressParallel compresses a field with a worker pool; the
-// stream remains self-describing.
-func ExampleCompressParallel() {
+// ExampleCompressParallelOpts compresses an in-memory field with a
+// worker pool into a self-describing stream container.
+func ExampleCompressParallelOpts() {
 	data := make([]float64, 64*64)
 	for i := range data {
 		data[i] = 1 + float64(i%64)*0.01
 	}
-	buf, err := repro.CompressParallel(data, []int{64, 64}, 1e-3, repro.SZT,
-		&repro.ParallelOptions{Workers: 4, Chunks: 4})
+	buf, err := repro.CompressParallelOpts(data, []int{64, 64}, 1e-3, repro.SZT,
+		repro.WithWorkers(4), repro.WithChunkRows(16))
 	if err != nil {
 		fmt.Println("error:", err)
 		return

@@ -2,7 +2,6 @@ package repro
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"io"
 	"math"
@@ -38,34 +37,31 @@ func faultCorpus(t *testing.T) map[string][]byte {
 	}
 	corpus["plain"] = plain
 
-	par, err := CompressParallel(data, dims, 1e-2, SZT, &ParallelOptions{Chunks: 2})
+	par, err := buildParallelV1(data, dims, 1e-2, SZT, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	corpus["parallel"] = par
 
 	var sb bytes.Buffer
-	if _, err := CompressStream(bytes.NewReader(rawLE(data)), &sb, dims, 1e-2, SZT,
-		&StreamOptions{Workers: 2, ChunkRows: 2}); err != nil {
+	if _, err := CompressStreamOpts(bytes.NewReader(rawLE(data)), &sb, dims, 1e-2, SZT,
+		WithWorkers(2), WithChunkRows(2)); err != nil {
 		t.Fatal(err)
 	}
 	corpus["stream"] = sb.Bytes()
 
 	var pb bytes.Buffer
-	if _, err := CompressStream(bytes.NewReader(rawLE(data)), &pb, dims, 1e-2, SZT,
-		&StreamOptions{Workers: 2, ChunkRows: 2, ParityK: 2}); err != nil {
+	if _, err := CompressStreamOpts(bytes.NewReader(rawLE(data)), &pb, dims, 1e-2, SZT,
+		WithWorkers(2), WithChunkRows(2), WithParity(2)); err != nil {
 		t.Fatal(err)
 	}
 	corpus["stream_parity"] = pb.Bytes()
 
-	aw := NewArchiveWriter()
-	if err := aw.AddCompressed("f0", plain); err != nil {
-		t.Fatal(err)
-	}
-	if err := aw.AddCompressed("f1", par); err != nil {
-		t.Fatal(err)
-	}
-	corpus["archive"] = aw.Bytes()
+	corpus["archive"] = buildArchiveV2([]struct {
+		name    string
+		off, ln uint64
+	}{{"f0", 0, uint64(len(plain))}, {"f1", uint64(len(plain)), uint64(len(par))}},
+		append(append([]byte(nil), plain...), par...))
 
 	var v3 bytes.Buffer
 	av3, err := NewArchiveStreamWriter(&v3, WithChunkRows(2), WithWorkers(2))
@@ -125,13 +121,6 @@ func bufEntries() []decodeEntry {
 			}
 			return err
 		}},
-		{"DecompressParallel", func(t *testing.T, desc string, buf []byte) error {
-			data, dims, err := DecompressParallel(buf, 2)
-			if err == nil {
-				shapeConsistent(t, desc, data, dims)
-			}
-			return err
-		}},
 		{"DecompressAny", func(t *testing.T, desc string, buf []byte) error {
 			data, dims, err := DecompressAny(buf)
 			if err == nil {
@@ -139,8 +128,8 @@ func bufEntries() []decodeEntry {
 			}
 			return err
 		}},
-		{"DecompressStream", func(t *testing.T, desc string, buf []byte) error {
-			_, err := DecompressStream(bytes.NewReader(buf), io.Discard)
+		{"DecompressStreamOpts", func(t *testing.T, desc string, buf []byte) error {
+			_, err := DecompressStreamOpts(bytes.NewReader(buf), io.Discard)
 			return err
 		}},
 		{"OpenStream", func(t *testing.T, desc string, buf []byte) error {
@@ -271,16 +260,16 @@ func TestFaultSweepZeroFill(t *testing.T) {
 	}
 }
 
-// TestFaultSweepReaderFailure drives DecompressStream from a source that
-// fails with an injected I/O error at every byte offset. The pipeline
-// must return the injected error itself (wrapped, never relabeled as
-// corruption) and leave no goroutines behind.
+// TestFaultSweepReaderFailure drives DecompressStreamOpts from a source
+// that fails with an injected I/O error at every byte offset. The
+// pipeline must return the injected error itself (wrapped, never
+// relabeled as corruption) and leave no goroutines behind.
 func TestFaultSweepReaderFailure(t *testing.T) {
 	defer testutil.NoLeak(t)()
 	stream := faultCorpus(t)["stream"]
 	for cut := 0; cut <= len(stream); cut++ {
 		r := faultio.FailAfter(bytes.NewReader(stream), int64(cut))
-		_, err := DecompressStream(r, io.Discard)
+		_, err := DecompressStreamOpts(r, io.Discard)
 		if cut == len(stream) {
 			// The whole container was delivered; the fault lands after
 			// the sealed index and is never observed.
@@ -295,7 +284,7 @@ func TestFaultSweepReaderFailure(t *testing.T) {
 	}
 }
 
-// TestFaultSweepReaderCorruption drives DecompressStream through
+// TestFaultSweepReaderCorruption drives DecompressStreamOpts through
 // flip/zero-fill fault readers (rather than pre-mutated buffers) with
 // short reads layered on, exercising the buffered-reader resumption
 // paths.
@@ -306,7 +295,7 @@ func TestFaultSweepReaderCorruption(t *testing.T) {
 	for pos := 0; pos < len(stream); pos++ {
 		r := faultio.FlipByte(faultio.ShortReads(bytes.NewReader(stream), 13), int64(pos), 0x10)
 		var out bytes.Buffer
-		_, err := DecompressStream(r, &out)
+		_, err := DecompressStreamOpts(r, &out)
 		if err == nil {
 			if !bytes.Equal(out.Bytes(), clean) {
 				t.Fatalf("flip@%d: silently changed output", pos)
@@ -319,7 +308,7 @@ func TestFaultSweepReaderCorruption(t *testing.T) {
 	}
 	for pos := 0; pos < len(stream); pos += 3 {
 		r := faultio.ZeroFill(bytes.NewReader(stream), int64(pos), 6)
-		_, err := DecompressStream(r, io.Discard)
+		_, err := DecompressStreamOpts(r, io.Discard)
 		if err != nil && !typedOK(err) {
 			t.Fatalf("zero@%d: untyped error %v", pos, err)
 		}
@@ -334,7 +323,7 @@ func TestFaultStalledReader(t *testing.T) {
 	for _, cut := range []int64{0, 5, int64(len(stream) / 2), int64(len(stream) - 1)} {
 		start := time.Now()
 		r := faultio.StallThenFail(bytes.NewReader(stream), cut, 10*time.Millisecond)
-		_, err := DecompressStream(r, io.Discard)
+		_, err := DecompressStreamOpts(r, io.Discard)
 		if !errors.Is(err, faultio.ErrInjected) {
 			t.Fatalf("stall@%d: err = %v, want injected", cut, err)
 		}
@@ -344,9 +333,9 @@ func TestFaultStalledReader(t *testing.T) {
 	}
 }
 
-// TestFaultFailingWriter proves DecompressStream stops reading promptly
-// when the output writer fails: the error surfaces, and the reader side
-// does not consume the whole container first.
+// TestFaultFailingWriter proves DecompressStreamOpts stops reading
+// promptly when the output writer fails: the error surfaces, and the
+// reader side does not consume the whole container first.
 func TestFaultFailingWriter(t *testing.T) {
 	defer testutil.NoLeak(t)()
 	data := make([]float64, 4096)
@@ -354,14 +343,14 @@ func TestFaultFailingWriter(t *testing.T) {
 		data[i] = float64(i%97) + 1
 	}
 	var sb bytes.Buffer
-	if _, err := CompressStream(bytes.NewReader(rawLE(data)), &sb, []int{256, 16}, 1e-2, SZT,
-		&StreamOptions{Workers: 2, ChunkRows: 8}); err != nil {
+	if _, err := CompressStreamOpts(bytes.NewReader(rawLE(data)), &sb, []int{256, 16}, 1e-2, SZT,
+		WithWorkers(2), WithChunkRows(8)); err != nil {
 		t.Fatal(err)
 	}
 	stream := sb.Bytes()
 	src := bytes.NewReader(stream)
 	w := faultio.FailWriter(io.Discard, 64) // dies during the first chunk's output
-	stats, err := DecompressStream(src, w)
+	stats, err := DecompressStreamOpts(src, w)
 	if !errors.Is(err, faultio.ErrInjected) {
 		t.Fatalf("err = %v, want the writer's injected error", err)
 	}
@@ -559,32 +548,44 @@ func TestFaultSeekUntouchedChunks(t *testing.T) {
 func TestDecodeLimits(t *testing.T) {
 	defer testutil.NoLeak(t)()
 	corpus := faultCorpus(t)
+	anyFormats := []string{"plain", "parallel", "stream"} // 0xC5, 0xC6, 0xC8
 	tiny := &DecodeLimits{MaxElements: 4}
-	if _, err := DecompressStreamCtx(context.Background(), bytes.NewReader(corpus["stream"]), io.Discard, tiny); !errors.Is(err, ErrLimitExceeded) {
+	if _, err := DecompressStreamOpts(bytes.NewReader(corpus["stream"]), io.Discard, WithLimits(tiny)); !errors.Is(err, ErrLimitExceeded) {
 		t.Errorf("stream MaxElements: err = %v", err)
 	}
-	if _, _, err := DecompressParallelCtx(context.Background(), corpus["parallel"], 0, tiny); !errors.Is(err, ErrLimitExceeded) {
-		t.Errorf("parallel MaxElements: err = %v", err)
-	}
-	if _, _, err := DecompressAnyLimits(corpus["plain"], tiny); !errors.Is(err, ErrLimitExceeded) {
-		t.Errorf("plain MaxElements: err = %v", err)
+	for _, name := range anyFormats {
+		if _, _, err := DecompressAny(corpus[name], WithLimits(tiny), WithWorkers(2)); !errors.Is(err, ErrLimitExceeded) {
+			t.Errorf("DecompressAny %s MaxElements: err = %v", name, err)
+		}
 	}
 	small := &DecodeLimits{MaxChunkBytes: 3}
-	if _, err := DecompressStreamCtx(context.Background(), bytes.NewReader(corpus["stream"]), io.Discard, small); !errors.Is(err, ErrLimitExceeded) {
+	if _, err := DecompressStreamOpts(bytes.NewReader(corpus["stream"]), io.Discard, WithLimits(small)); !errors.Is(err, ErrLimitExceeded) {
 		t.Errorf("stream MaxChunkBytes: err = %v", err)
 	}
-	if _, err := OpenArchiveLimits(corpus["archive"], small); !errors.Is(err, ErrLimitExceeded) {
+	for _, name := range []string{"parallel", "stream"} {
+		if _, _, err := DecompressAny(corpus[name], WithLimits(small)); !errors.Is(err, ErrLimitExceeded) {
+			t.Errorf("DecompressAny %s MaxChunkBytes: err = %v", name, err)
+		}
+	}
+	if _, err := OpenArchive(corpus["archive"], WithLimits(small)); !errors.Is(err, ErrLimitExceeded) {
 		t.Errorf("archive MaxChunkBytes: err = %v", err)
 	}
-	if _, err := OpenArchiveLimits(corpus["archive"], &DecodeLimits{MaxFields: 1}); !errors.Is(err, ErrLimitExceeded) {
+	if _, err := OpenArchive(corpus["archive"], WithLimits(&DecodeLimits{MaxFields: 1})); !errors.Is(err, ErrLimitExceeded) {
 		t.Errorf("archive MaxFields: err = %v", err)
 	}
 	// Generous limits must not reject valid containers.
 	big := &DecodeLimits{MaxElements: 1 << 20, MaxChunkBytes: 1 << 20, MaxFields: 64}
-	if _, err := DecompressStreamCtx(context.Background(), bytes.NewReader(corpus["stream"]), io.Discard, big); err != nil {
+	if _, err := DecompressStreamOpts(bytes.NewReader(corpus["stream"]), io.Discard, WithLimits(big)); err != nil {
 		t.Errorf("stream under generous limits: %v", err)
 	}
-	if r, err := OpenArchiveLimits(corpus["archive"], big); err != nil {
+	for _, name := range anyFormats {
+		if data, dims, err := DecompressAny(corpus[name], WithLimits(big), WithWorkers(2)); err != nil {
+			t.Errorf("DecompressAny %s under generous limits: %v", name, err)
+		} else {
+			shapeConsistent(t, name, data, dims)
+		}
+	}
+	if r, err := OpenArchive(corpus["archive"], WithLimits(big)); err != nil {
 		t.Errorf("archive under generous limits: %v", err)
 	} else if _, _, err := r.Field("f0"); err != nil {
 		t.Errorf("archive field under generous limits: %v", err)

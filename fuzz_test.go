@@ -2,7 +2,6 @@ package repro
 
 import (
 	"bytes"
-	"context"
 	"encoding/binary"
 	"io"
 	"math"
@@ -56,18 +55,24 @@ func FuzzDecompress(f *testing.F) {
 	})
 }
 
-// FuzzDecompressParallel covers the chunked container.
+// FuzzDecompressParallel covers the legacy chunked container (0xC6)
+// through DecompressAny, the entry point that still reads it.
 func FuzzDecompressParallel(f *testing.F) {
 	data := make([]float64, 64)
 	for i := range data {
 		data[i] = float64(i) + 1
 	}
-	if buf, err := CompressParallel(data, []int{8, 8}, 0.01, SZT, &ParallelOptions{Chunks: 3}); err == nil {
+	if buf, err := buildParallelV1(data, []int{8, 8}, 0.01, SZT, 3); err == nil {
 		f.Add(buf)
 	}
 	f.Add([]byte{parallelMagic, 1, 8})
+	// Hostile geometry: 512×4194519 elements declared over four chunks
+	// of one or two bytes. The chunks must fail to decode before any of
+	// the 17 GB the header claims is allocated.
+	f.Add([]byte("\xc6\x01\x02\x80\x04\xd7\x81\x80\x02\x04\x01\x01\x01\x02\x01\x05\x05\x05\x02\x04" +
+		"\xb2\x01\x04\x18\xea\xaa\xf6\x863\xe0\x00\x00\xe3"))
 	f.Fuzz(func(t *testing.T, buf []byte) {
-		data, dims, err := DecompressParallel(buf, 2)
+		data, dims, err := DecompressAny(buf, WithWorkers(2))
 		if err != nil {
 			return
 		}
@@ -83,9 +88,12 @@ func FuzzDecompressParallel(f *testing.F) {
 
 // FuzzOpenArchive covers the archive index parser.
 func FuzzOpenArchive(f *testing.F) {
-	w := NewArchiveWriter()
-	_ = w.Add("a", []float64{1, 2, 3, 4}, []int{4}, 0.1, SZT, nil)
-	f.Add(w.Bytes())
+	if blob, err := Compress([]float64{1, 2, 3, 4}, []int{4}, 0.1, SZT, nil); err == nil {
+		f.Add(buildArchiveV2([]struct {
+			name    string
+			off, ln uint64
+		}{{"a", 0, uint64(len(blob))}}, blob))
+	}
 	f.Add([]byte{archiveMagic, 0})
 	f.Fuzz(func(t *testing.T, buf []byte) {
 		r, err := OpenArchive(buf)
@@ -143,15 +151,18 @@ func FuzzHeaderMutation(f *testing.F) {
 	if buf, err := CompressAbs(data, []int{12, 8}, 1e-2, SZABS, nil); err == nil {
 		streams = append(streams, stream{buf, container})
 	}
-	if buf, err := CompressParallel(data, []int{12, 8}, 1e-2, SZT, &ParallelOptions{Chunks: 3}); err == nil {
+	if buf, err := buildParallelV1(data, []int{12, 8}, 1e-2, SZT, 3); err == nil {
 		streams = append(streams, stream{buf, func(t *testing.T, b []byte) {
-			vals, dims, err := DecompressParallel(b, 2)
+			vals, dims, err := DecompressAny(b, WithWorkers(2))
 			checkShape(t, vals, dims, err)
 		}})
 	}
-	w := NewArchiveWriter()
-	if err := w.Add("density", data, []int{96}, 1e-2, SZT, nil); err == nil {
-		streams = append(streams, stream{w.Bytes(), func(t *testing.T, b []byte) {
+	if blob, err := Compress(data, []int{96}, 1e-2, SZT, nil); err == nil {
+		arch := buildArchiveV2([]struct {
+			name    string
+			off, ln uint64
+		}{{"density", 0, uint64(len(blob))}}, blob)
+		streams = append(streams, stream{arch, func(t *testing.T, b []byte) {
 			r, err := OpenArchive(b)
 			if err != nil {
 				return
@@ -203,8 +214,8 @@ func fuzzStreamContainerParity(chunkRows, parityK int) []byte {
 		binary.LittleEndian.PutUint64(raw[i*8:], math.Float64bits(v))
 	}
 	var buf bytes.Buffer
-	if _, err := CompressStream(bytes.NewReader(raw), &buf, []int{12, 4}, 1e-2, SZT,
-		&StreamOptions{ChunkRows: chunkRows, ParityK: parityK}); err != nil {
+	if _, err := CompressStreamOpts(bytes.NewReader(raw), &buf, []int{12, 4}, 1e-2, SZT,
+		WithChunkRows(chunkRows), WithParity(parityK)); err != nil {
 		return nil
 	}
 	return buf.Bytes()
@@ -259,7 +270,7 @@ func FuzzDecompressStream(f *testing.F) {
 	f.Add(hostile)
 	f.Fuzz(func(t *testing.T, buf []byte) {
 		cw := &countingWriter{w: io.Discard}
-		st, err := DecompressStream(bytes.NewReader(buf), cw)
+		st, err := DecompressStreamOpts(bytes.NewReader(buf), cw)
 		if err != nil {
 			return
 		}
@@ -303,7 +314,7 @@ func FuzzOpenStream(f *testing.F) {
 		dst := make([]float64, h.Rows()*uint64(h.RowStride()))
 		rerr := h.ReadRows(dst, 0, h.Rows())
 		var full bytes.Buffer
-		_, ferr := DecompressStreamCtx(context.Background(), bytes.NewReader(buf), &full, lim)
+		_, ferr := DecompressStreamOpts(bytes.NewReader(buf), &full, WithLimits(lim))
 		if ferr != nil {
 			return // chunk-level damage; the sequential path rejected it too
 		}
@@ -351,7 +362,7 @@ func FuzzReadRows(f *testing.F) {
 		dst := make([]float64, count*stride)
 		rerr := h.ReadRows(dst, start, count)
 		var full bytes.Buffer
-		if _, ferr := DecompressStreamCtx(context.Background(), bytes.NewReader(buf), &full, lim); ferr != nil {
+		if _, ferr := DecompressStreamOpts(bytes.NewReader(buf), &full, WithLimits(lim)); ferr != nil {
 			return // damaged chunks; the range may or may not touch them
 		}
 		if rerr != nil {
@@ -370,8 +381,8 @@ func FuzzReadRows(f *testing.F) {
 
 // FuzzStreamRoundTrip drives the full streaming pipeline with arbitrary
 // bytes reinterpreted as floats and a fuzzed chunking, asserting the
-// SZ_T bound (and zero/special preservation) through CompressStream →
-// DecompressStream.
+// SZ_T bound (and zero/special preservation) through CompressStreamOpts
+// → DecompressStreamOpts.
 func FuzzStreamRoundTrip(f *testing.F) {
 	f.Add([]byte{3, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})
 	f.Add(append([]byte{1}, make([]byte, 160)...))
@@ -392,13 +403,13 @@ func FuzzStreamRoundTrip(f *testing.F) {
 		}
 		const rel = 1e-2
 		var comp bytes.Buffer
-		_, err := CompressStream(bytes.NewReader(body[:n*8]), &comp, []int{n}, rel, SZT,
-			&StreamOptions{Workers: 2, ChunkRows: chunkRows})
+		_, err := CompressStreamOpts(bytes.NewReader(body[:n*8]), &comp, []int{n}, rel, SZT,
+			WithWorkers(2), WithChunkRows(chunkRows))
 		if err != nil {
 			return // e.g. log-range too extreme for the bound: a valid refusal
 		}
 		var dec bytes.Buffer
-		if _, err := DecompressStream(bytes.NewReader(comp.Bytes()), &dec); err != nil {
+		if _, err := DecompressStreamOpts(bytes.NewReader(comp.Bytes()), &dec); err != nil {
 			t.Fatalf("own stream failed to decode: %v", err)
 		}
 		db := dec.Bytes()
@@ -573,7 +584,7 @@ func FuzzOpenArchiveStream(f *testing.F) {
 		if err != nil {
 			return
 		}
-		ar, aerr := OpenArchiveLimits(buf, lim)
+		ar, aerr := OpenArchive(buf, WithLimits(lim))
 		for _, name := range as.Fields() {
 			h, err := as.Field(name)
 			if err != nil {

@@ -1,12 +1,13 @@
-package repro_test
+package repro
 
 // Golden-stream regression tests: small compressed fixtures committed
-// under testdata/golden/ — one per algorithm, plus the parallel and
-// stream containers — decoded against a recorded CRC of the
-// reconstruction. Accidental format drift (a container or entropy-coder
-// change that can no longer read old archives, or that silently decodes
-// them differently) fails here in tier-1 instead of surfacing when a
-// real archive is reopened.
+// under testdata/golden/ — one per algorithm, plus the stream
+// containers and the legacy parallel container, which nothing writes
+// any more — decoded against a recorded CRC of the reconstruction.
+// Accidental format drift (a container or entropy-coder change that can
+// no longer read old archives, or that silently decodes them
+// differently) fails here in tier-1 instead of surfacing when a real
+// archive is reopened.
 //
 // Regenerate after an INTENTIONAL format change with:
 //
@@ -29,7 +30,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro"
 	"repro/internal/datagen"
 	"repro/internal/streamfmt"
 )
@@ -44,51 +44,54 @@ func goldenField() datagen.Field {
 	return datagen.NYX(8, 424242)[0]
 }
 
-// goldenCase describes one fixture.
+// goldenCase describes one fixture. A legacy fixture's format has no
+// writer any more: make is a test-only builder, and TestGoldenDecode
+// asserts that it still reproduces the committed bytes exactly.
 type goldenCase struct {
-	name string
-	make func(f datagen.Field) ([]byte, error)
+	name   string
+	make   func(f datagen.Field) ([]byte, error)
+	legacy bool
 }
 
 func goldenCases() []goldenCase {
 	cases := []goldenCase{}
-	for _, algo := range repro.RelativeAlgorithms() {
+	for _, algo := range RelativeAlgorithms() {
 		algo := algo
 		cases = append(cases, goldenCase{
 			name: strings.ToLower(algo.String()),
 			make: func(f datagen.Field) ([]byte, error) {
-				return repro.Compress(f.Data, f.Dims, 1e-2, algo, nil)
+				return Compress(f.Data, f.Dims, 1e-2, algo, nil)
 			},
 		})
 	}
 	cases = append(cases,
-		goldenCase{"sz_abs", func(f datagen.Field) ([]byte, error) {
-			return repro.CompressAbs(f.Data, f.Dims, 0.01, repro.SZABS, nil)
+		goldenCase{name: "sz_abs", make: func(f datagen.Field) ([]byte, error) {
+			return CompressAbs(f.Data, f.Dims, 0.01, SZABS, nil)
 		}},
-		goldenCase{"zfp_acc", func(f datagen.Field) ([]byte, error) {
-			return repro.CompressAbs(f.Data, f.Dims, 0.01, repro.ZFPACC, nil)
+		goldenCase{name: "zfp_acc", make: func(f datagen.Field) ([]byte, error) {
+			return CompressAbs(f.Data, f.Dims, 0.01, ZFPACC, nil)
 		}},
-		goldenCase{"parallel", func(f datagen.Field) ([]byte, error) {
-			return repro.CompressParallel(f.Data, f.Dims, 1e-2, repro.SZT, &repro.ParallelOptions{Chunks: 3})
+		goldenCase{name: "parallel", legacy: true, make: func(f datagen.Field) ([]byte, error) {
+			return buildParallelV1(f.Data, f.Dims, 1e-2, SZT, 3)
 		}},
-		goldenCase{"stream", func(f datagen.Field) ([]byte, error) {
+		goldenCase{name: "stream", make: func(f datagen.Field) ([]byte, error) {
 			var buf bytes.Buffer
 			raw := make([]byte, len(f.Data)*8)
 			for i, v := range f.Data {
 				binary.LittleEndian.PutUint64(raw[i*8:], math.Float64bits(v))
 			}
-			_, err := repro.CompressStream(bytes.NewReader(raw), &buf, f.Dims, 1e-2, repro.SZT,
-				&repro.StreamOptions{ChunkRows: 3})
+			_, err := CompressStreamOpts(bytes.NewReader(raw), &buf, f.Dims, 1e-2, SZT,
+				WithChunkRows(3))
 			return buf.Bytes(), err
 		}},
-		goldenCase{"stream_parity", func(f datagen.Field) ([]byte, error) {
+		goldenCase{name: "stream_parity", make: func(f datagen.Field) ([]byte, error) {
 			var buf bytes.Buffer
 			raw := make([]byte, len(f.Data)*8)
 			for i, v := range f.Data {
 				binary.LittleEndian.PutUint64(raw[i*8:], math.Float64bits(v))
 			}
-			_, err := repro.CompressStream(bytes.NewReader(raw), &buf, f.Dims, 1e-2, repro.SZT,
-				&repro.StreamOptions{ChunkRows: 3, ParityK: 2})
+			_, err := CompressStreamOpts(bytes.NewReader(raw), &buf, f.Dims, 1e-2, SZT,
+				WithChunkRows(3), WithParity(2))
 			return buf.Bytes(), err
 		}},
 	)
@@ -154,7 +157,7 @@ func TestGoldenDecode(t *testing.T) {
 			if err := os.WriteFile(filepath.Join(goldenDir, c.name+".bin"), buf, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			dec, _, err := repro.DecompressAny(buf)
+			dec, _, err := DecompressAny(buf)
 			if err != nil {
 				t.Fatalf("%s: decode own fixture: %v", c.name, err)
 			}
@@ -180,7 +183,16 @@ func TestGoldenDecode(t *testing.T) {
 			if err != nil {
 				t.Fatalf("fixture missing: %v", err)
 			}
-			dec, dims, err := repro.DecompressAny(buf)
+			if c.legacy {
+				built, err := c.make(f)
+				if err != nil {
+					t.Fatalf("legacy builder: %v", err)
+				}
+				if !bytes.Equal(built, buf) {
+					t.Fatalf("legacy builder no longer reproduces the committed fixture (%d vs %d bytes)", len(built), len(buf))
+				}
+			}
+			dec, dims, err := DecompressAny(buf)
 			if err != nil {
 				t.Fatalf("format drift: committed fixture no longer decodes: %v", err)
 			}
@@ -209,7 +221,7 @@ func TestGoldenSeekableRanges(t *testing.T) {
 	if err != nil {
 		t.Fatalf("fixture missing (run -update-golden to create): %v", err)
 	}
-	full, dims, err := repro.DecompressAny(buf)
+	full, dims, err := DecompressAny(buf)
 	if err != nil {
 		t.Fatalf("stream fixture no longer decodes: %v", err)
 	}
@@ -217,7 +229,7 @@ func TestGoldenSeekableRanges(t *testing.T) {
 		t.Fatalf("full decode CRC %08x, manifest says %08x", got, want)
 	}
 
-	h, err := repro.OpenStream(bytes.NewReader(buf))
+	h, err := OpenStream(bytes.NewReader(buf))
 	if err != nil {
 		t.Fatalf("format drift: committed fixture no longer opens seekably: %v", err)
 	}
@@ -230,7 +242,7 @@ func TestGoldenSeekableRanges(t *testing.T) {
 	goldenRangeSweep(t, h, full, stride)
 }
 
-func goldenRangeSweep(t *testing.T, h *repro.StreamHandle, full []float64, stride uint64) {
+func goldenRangeSweep(t *testing.T, h *StreamHandle, full []float64, stride uint64) {
 	t.Helper()
 	for _, r := range [][2]uint64{{0, 3}, {3, 3}, {2, 4}, {0, 1}, {7, 1}, {0, 8}, {4, 0}} {
 		start, count := r[0], r[1]
@@ -259,7 +271,7 @@ func TestGoldenParityRepair(t *testing.T) {
 	if err != nil {
 		t.Fatalf("fixture missing (run -update-golden to create): %v", err)
 	}
-	full, _, err := repro.DecompressAny(buf)
+	full, _, err := DecompressAny(buf)
 	if err != nil {
 		t.Fatalf("parity fixture no longer decodes: %v", err)
 	}
@@ -268,17 +280,17 @@ func TestGoldenParityRepair(t *testing.T) {
 		t.Fatalf("full decode CRC %08x, manifest says %08x", got, wantCRC)
 	}
 
-	h, err := repro.OpenStream(bytes.NewReader(buf))
+	h, err := OpenStream(bytes.NewReader(buf))
 	if err != nil {
 		t.Fatalf("parity fixture no longer opens seekably: %v", err)
 	}
 	goldenRangeSweep(t, h, full, uint64(h.RowStride()))
 
 	var clean bytes.Buffer
-	if _, err := repro.DecompressStream(bytes.NewReader(buf), &clean); err != nil {
+	if _, err := DecompressStreamOpts(bytes.NewReader(buf), &clean); err != nil {
 		t.Fatalf("sequential decode: %v", err)
 	}
-	rep, err := repro.DecompressStreamSalvage(bytes.NewReader(buf), io.Discard, nil)
+	rep, err := DecompressStreamSalvage(bytes.NewReader(buf), io.Discard, nil)
 	if err != nil || rep.Lost() != 0 {
 		t.Fatalf("clean salvage: err %v, lost %v", err, rep.LostChunks)
 	}
@@ -291,7 +303,7 @@ func TestGoldenParityRepair(t *testing.T) {
 		damaged := append([]byte(nil), buf...)
 		damaged[(scan.Frames[c].Offset+scan.Frames[c].End)/2] ^= 0x20
 		var out bytes.Buffer
-		rep, err := repro.DecompressStreamSalvage(bytes.NewReader(damaged), &out, nil)
+		rep, err := DecompressStreamSalvage(bytes.NewReader(damaged), &out, nil)
 		if err != nil {
 			t.Fatalf("chunk %d: salvage: %v", c, err)
 		}
@@ -321,15 +333,15 @@ func TestGoldenArchiveV3(t *testing.T) {
 			binary.LittleEndian.PutUint64(raw[i*8:], math.Float64bits(v))
 		}
 		var buf bytes.Buffer
-		aw, err := repro.NewArchiveStreamWriter(&buf, repro.WithChunkRows(3))
+		aw, err := NewArchiveStreamWriter(&buf, WithChunkRows(3))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := aw.AddField("density", bytes.NewReader(raw), f.Dims, 1e-2, repro.SZT); err != nil {
+		if _, err := aw.AddField("density", bytes.NewReader(raw), f.Dims, 1e-2, SZT); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := aw.AddField("density_parity", bytes.NewReader(raw), f.Dims, 1e-2, repro.SZT,
-			repro.WithParity(2)); err != nil {
+		if _, err := aw.AddField("density_parity", bytes.NewReader(raw), f.Dims, 1e-2, SZT,
+			WithParity(2)); err != nil {
 			t.Fatal(err)
 		}
 		if err := aw.Close(); err != nil {
@@ -351,11 +363,11 @@ func TestGoldenArchiveV3(t *testing.T) {
 		"density_parity": manifest["stream_parity"],
 	}
 
-	ar, err := repro.OpenArchive(buf)
+	ar, err := OpenArchive(buf)
 	if err != nil {
 		t.Fatalf("format drift: committed v3 archive no longer opens in-memory: %v", err)
 	}
-	as, err := repro.OpenArchiveStream(bytes.NewReader(buf))
+	as, err := OpenArchiveStream(bytes.NewReader(buf))
 	if err != nil {
 		t.Fatalf("format drift: committed v3 archive no longer opens seekably: %v", err)
 	}

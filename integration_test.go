@@ -81,11 +81,11 @@ func TestDeterministicStreams(t *testing.T) {
 		}
 	}
 	// Parallel streams must be deterministic too (fixed chunking).
-	a, err := CompressParallel(f.Data, f.Dims, 1e-2, SZT, &ParallelOptions{Workers: 3, Chunks: 4})
+	a, err := CompressParallelOpts(f.Data, f.Dims, 1e-2, SZT, WithWorkers(3), WithChunkRows(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := CompressParallel(f.Data, f.Dims, 1e-2, SZT, &ParallelOptions{Workers: 1, Chunks: 4})
+	b, err := CompressParallelOpts(f.Data, f.Dims, 1e-2, SZT, WithWorkers(1), WithChunkRows(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,20 +141,26 @@ func TestTighterBoundCostsMoreBits(t *testing.T) {
 // validate each field, and confirm stats survive compression.
 func TestArchiveSnapshotWorkflow(t *testing.T) {
 	fields := datagen.NYX(24, 44)
-	w := NewArchiveWriter()
+	var archive bytes.Buffer
+	w, err := NewArchiveStreamWriter(&archive)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range fields {
 		f := &fields[i]
 		algo := SZT
 		if f.Name == "temperature" {
 			algo = FPZIP
 		}
-		if err := w.Add(f.Name, f.Data, f.Dims, 1e-3, algo, nil); err != nil {
+		if _, err := w.AddField(f.Name, bytes.NewReader(rawLE(f.Data)), f.Dims, 1e-3, algo); err != nil {
 			t.Fatalf("%s: %v", f.Name, err)
 		}
 	}
-	archive := w.Bytes()
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
 
-	r, err := OpenArchive(archive)
+	r, err := OpenArchive(archive.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}

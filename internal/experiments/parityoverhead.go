@@ -52,8 +52,8 @@ func ParityOverhead(cfg Config) (*ParityOverheadResult, error) {
 	for _, k := range []int{0, 4, 16, 64} {
 		var comp bytes.Buffer
 		t0 := time.Now()
-		st, err := repro.CompressStream(bytes.NewReader(raw), &comp, []int{rows, stride},
-			1e-2, repro.SZT, &repro.StreamOptions{ChunkRows: 4, ParityK: k})
+		st, err := repro.CompressStreamOpts(bytes.NewReader(raw), &comp, []int{rows, stride},
+			1e-2, repro.SZT, repro.WithChunkRows(4), repro.WithParity(k))
 		if err != nil {
 			return nil, err
 		}

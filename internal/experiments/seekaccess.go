@@ -65,8 +65,8 @@ func SeekAccess(cfg Config) (*SeekAccessResult, error) {
 		binary.LittleEndian.PutUint64(raw[i*8:], math.Float64bits(v))
 	}
 	var comp bytes.Buffer
-	if _, err := repro.CompressStream(bytes.NewReader(raw), &comp, []int{rows, stride},
-		1e-2, repro.SZT, &repro.StreamOptions{ChunkRows: 1}); err != nil {
+	if _, err := repro.CompressStreamOpts(bytes.NewReader(raw), &comp, []int{rows, stride},
+		1e-2, repro.SZT, repro.WithChunkRows(1)); err != nil {
 		return nil, err
 	}
 	stream := comp.Bytes()
@@ -75,7 +75,7 @@ func SeekAccess(cfg Config) (*SeekAccessResult, error) {
 	// Sequential baseline: the pre-seekable way to serve any range.
 	src := &countingSeeker{r: bytes.NewReader(stream)}
 	t0 := time.Now()
-	st, err := repro.DecompressStream(src, io.Discard)
+	st, err := repro.DecompressStreamOpts(src, io.Discard)
 	if err != nil {
 		return nil, err
 	}

@@ -164,26 +164,8 @@ func buildBoundconst(m *Module) map[string]*bcSummary {
 		}
 	}
 
-	if pr := m.prime; pr != nil {
-		primed := make([]string, 0, len(pr.bc))
-		for id := range pr.bc {
-			primed = append(primed, id)
-		}
-		sort.Strings(primed)
-		for _, id := range primed {
-			if r.units[id] == nil {
-				continue
-			}
-			sums[id] = pr.bc[id]
-			m.Stats.FuncsReused++
-			globalize(id, sums[id])
-		}
-	}
-	m.Stats.FuncsTotal += len(r.units)
 	for _, id := range bottomUpOrder(g, r.units) {
-		if sums[id] == nil {
-			enqueue(id)
-		}
+		enqueue(id)
 	}
 
 	for len(queue) > 0 {

@@ -154,28 +154,8 @@ func buildInterproc(m *Module) *ipResult {
 		}
 	}
 
-	// Prime unchanged functions from the incremental cache, then seed
-	// the worklist with everything that still needs analysis.
-	if pr := m.prime; pr != nil {
-		primed := make([]string, 0, len(pr.ip))
-		for id := range pr.ip {
-			primed = append(primed, id)
-		}
-		sort.Strings(primed)
-		for _, id := range primed {
-			if units[id] == nil {
-				continue
-			}
-			sums[id] = pr.ip[id]
-			m.Stats.FuncsReused++
-			globalize(id, sums[id])
-		}
-	}
-	m.Stats.FuncsTotal += len(units)
 	for _, id := range bottomUpOrder(g, units) {
-		if sums[id] == nil {
-			enqueue(id)
-		}
+		enqueue(id)
 	}
 
 	for len(queue) > 0 {

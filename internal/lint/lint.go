@@ -181,12 +181,6 @@ type Module struct {
 
 	purityOnce sync.Once
 	pur        *purityData
-
-	// prime holds summaries deserialized from an incremental cache
-	// (cache.go), consulted by the fixed-point drivers; Stats counts
-	// their reuse for -stats reporting.
-	prime *primedState
-	Stats CacheStats
 }
 
 // FindModuleRoot ascends from dir to the nearest directory containing

@@ -508,7 +508,7 @@ func ipAnalyze(u *funcUnit, sums map[string]*ipSummary, fields *fieldFacts) *ipS
 }
 
 // finishIPSummary derives the per-parameter witness maps from the
-// recorded events (shared with cache deserialization). Event masks only
+// recorded events. Event masks only
 // carry bits of parameters that exist, so iterating the full bit range
 // is equivalent to iterating the parameter list.
 func finishIPSummary(sum *ipSummary) {

@@ -1,5 +1,5 @@
 // Package streamfmt defines the framed on-disk container used by the
-// bounded-memory streaming pipeline (repro.CompressStream): a fixed
+// bounded-memory streaming pipeline (repro.CompressStreamOpts): a fixed
 // header describing the field geometry and chunking, a sequence of
 // length-prefixed chunk frames each carrying its own CRC, and a final
 // index frame that seals the stream. The layout is specified in

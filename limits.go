@@ -16,12 +16,11 @@ import (
 // The zero value (and a nil *DecodeLimits) means "no limits", which is
 // appropriate only for trusted input. Fields left zero are unlimited.
 //
-// Pass limits to DecompressStreamCtx, DecompressParallelCtx,
-// DecompressAnyLimits, OpenArchiveLimits, or — for the seekable read
-// path — OpenStream via WithLimits, where MaxElements is checked
-// against the header geometry before the tail index is even read and
-// MaxChunkBytes against every index-declared length before a frame
-// buffer is allocated.
+// Pass limits with WithLimits to DecompressStreamOpts, DecompressAny,
+// OpenArchive, OpenArchiveStream, or the seekable OpenStream, where
+// MaxElements is checked against the header geometry before the tail
+// index is even read and MaxChunkBytes against every index-declared
+// length before a frame buffer is allocated.
 type DecodeLimits struct {
 	// MaxElements caps the total number of field elements a container
 	// may declare (the decoded size is 8 bytes per element).

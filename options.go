@@ -5,21 +5,18 @@ import (
 	"runtime"
 )
 
-// The unified options API. Every concurrent entry point in the module —
-// stream compress/decompress, parallel compress/decompress, the
-// seekable OpenStream path, and the streaming archive subsystem —
+// The unified options API. Every concurrent or limit-aware entry point
+// in the module — stream compress/decompress, CompressParallelOpts,
+// DecompressAny, the seekable OpenStream path, and both archive paths —
 // consumes the same StreamOption functional options resolved into one
-// StreamConfig. The older positional-argument variants
-// (CompressStreamCtx, DecompressParallelCtx, …) survive as thin
-// deprecated wrappers that translate their arguments into options and
-// delegate, so their output stays bit-identical.
+// StreamConfig.
 //
 //	stats, err := repro.CompressStreamOpts(src, dst, dims, 1e-3, repro.SZT,
 //		repro.WithParity(16), repro.WithMemoryBudget(64<<20))
 //
 // Options that a given entry point has no use for are ignored by it
-// (WithChunks on a stream path, WithParity on a parallel decode); the
-// pwrvet optsflow check keeps the ones that matter — context and
+// (WithParity on a decode, WithFloat32 on DecompressAny); the pwrvet
+// optsflow check keeps the ones that matter — context and
 // limits — from being silently dropped by future wrappers.
 
 // StreamConfig is the resolved configuration a []StreamOption builds.
@@ -35,9 +32,6 @@ type StreamConfig struct {
 	// ChunkRows is the number of dims[0]-rows per stream chunk
 	// (default: derived — see WithChunkRows and WithMemoryBudget).
 	ChunkRows int
-	// Chunks is the chunk count for the parallel (in-memory) container
-	// (default: Workers, clamped to dims[0]).
-	Chunks int
 	// ParityK, when positive, makes stream containers self-healing with
 	// one XOR parity frame per K data chunks.
 	ParityK int
@@ -62,11 +56,11 @@ type StreamConfig struct {
 }
 
 // StreamOption configures one entry point of the streaming, parallel,
-// archive, or seekable-read API.
+// archive, seekable-read, or DecompressAny API.
 type StreamOption func(*StreamConfig)
 
 // resolveStreamConfig folds opts into a fresh config. Nil options are
-// tolerated so wrappers can pass conditional slices without filtering.
+// tolerated so callers can pass conditional slices without filtering.
 func resolveStreamConfig(opts []StreamOption) *StreamConfig {
 	cfg := &StreamConfig{}
 	for _, o := range opts {
@@ -97,7 +91,7 @@ func WithLimits(l *DecodeLimits) StreamOption {
 // (like a sink write error) stops the stages after at most the chunks
 // already in flight and returns the context's error with no goroutines
 // left behind. This is the one way to pass cancellation through the
-// options core; the old Ctx-suffixed entry points delegate here.
+// options core.
 func WithContext(ctx context.Context) StreamOption {
 	return func(c *StreamConfig) { c.Ctx = ctx }
 }
@@ -108,13 +102,6 @@ func WithContext(ctx context.Context) StreamOption {
 // chunk-rows value always wins over WithMemoryBudget derivation.
 func WithChunkRows(n int) StreamOption {
 	return func(c *StreamConfig) { c.ChunkRows = n }
-}
-
-// WithChunks sets the chunk count for the parallel in-memory container
-// (CompressParallelOpts); the streaming paths derive their chunk count
-// from ChunkRows instead.
-func WithChunks(n int) StreamOption {
-	return func(c *StreamConfig) { c.Chunks = n }
 }
 
 // WithParity makes stream containers self-healing: one XOR parity frame
@@ -237,57 +224,6 @@ func tuneCompressBudget(cfg *StreamConfig, rowStride, elemSize, workers int) (ch
 		return chunkRows, budgetWorkersFor(cfg.MemoryBudget, chunkRows*rowStride, elemSize, w)
 	}
 	return chunkRows, w // both explicit: the budget defers to them
-}
-
-// streamOptions converts the legacy struct to the shared options. Only
-// set fields are translated, so defaults resolve identically to the old
-// positional path (including the error on a negative ParityK).
-func (o *StreamOptions) streamOptions() []StreamOption {
-	if o == nil {
-		return nil
-	}
-	var out []StreamOption
-	if o.Workers > 0 {
-		out = append(out, WithWorkers(o.Workers))
-	}
-	if o.ChunkRows > 0 {
-		out = append(out, WithChunkRows(o.ChunkRows))
-	}
-	if o.ParityK != 0 {
-		out = append(out, WithParity(o.ParityK))
-	}
-	if o.VerifyOnWrite {
-		out = append(out, WithVerifyOnWrite())
-	}
-	if o.Options != nil {
-		out = append(out, WithCompressorOptions(o.Options))
-	}
-	return out
-}
-
-// streamOptions converts the legacy parallel struct to the shared
-// options (Verify maps onto WithVerifyOnWrite, Ctx onto WithContext).
-func (o *ParallelOptions) streamOptions() []StreamOption {
-	if o == nil {
-		return nil
-	}
-	var out []StreamOption
-	if o.Workers > 0 {
-		out = append(out, WithWorkers(o.Workers))
-	}
-	if o.Chunks != 0 {
-		out = append(out, WithChunks(o.Chunks))
-	}
-	if o.Verify {
-		out = append(out, WithVerifyOnWrite())
-	}
-	if o.Options != nil {
-		out = append(out, WithCompressorOptions(o.Options))
-	}
-	if o.Ctx != nil {
-		out = append(out, WithContext(o.Ctx))
-	}
-	return out
 }
 
 // defaultWorkers resolves the configured worker count, falling back to

@@ -2,168 +2,12 @@ package repro
 
 import (
 	"bytes"
-	"context"
 	"math"
 	"testing"
 
 	"repro/internal/datagen"
 	"repro/internal/testutil"
 )
-
-// TestStreamAPIEquivalence proves the deprecated positional entry
-// points are pure wrappers: for every legacy variant, the container (or
-// decoded output) is byte-identical to the functional-options core
-// called with the translated options.
-func TestStreamAPIEquivalence(t *testing.T) {
-	defer testutil.NoLeak(t)()
-	f := datagen.NYX(12, 21)[0]
-	raw := rawLE(f.Data)
-	raw32 := make([]byte, 0, len(f.Data)*4)
-	for _, v := range f.Data {
-		raw32 = rawLE32Append(raw32, float32(v))
-	}
-	ctx := context.Background()
-	legacy := &StreamOptions{Workers: 2, ChunkRows: 3, ParityK: 2, VerifyOnWrite: true}
-	shared := []StreamOption{WithWorkers(2), WithChunkRows(3), WithParity(2), WithVerifyOnWrite()}
-
-	newStream := func(f32 bool, extra ...StreamOption) []byte {
-		var w bytes.Buffer
-		opts := append(append([]StreamOption{}, shared...), extra...)
-		src := raw
-		if f32 {
-			src = raw32
-			opts = append(opts, WithFloat32())
-		}
-		if _, err := CompressStreamOpts(bytes.NewReader(src), &w, f.Dims, 1e-3, SZT, opts...); err != nil {
-			t.Fatal(err)
-		}
-		return w.Bytes()
-	}
-	want := newStream(false)
-	want32 := newStream(true)
-	if !bytes.Equal(want, want32) {
-		t.Fatal("float32 path is not width-independent")
-	}
-
-	compressCases := []struct {
-		name string
-		run  func() ([]byte, error)
-	}{
-		{"CompressStream", func() ([]byte, error) {
-			var w bytes.Buffer
-			_, err := CompressStream(bytes.NewReader(raw), &w, f.Dims, 1e-3, SZT, legacy)
-			return w.Bytes(), err
-		}},
-		{"CompressStreamCtx", func() ([]byte, error) {
-			var w bytes.Buffer
-			_, err := CompressStreamCtx(ctx, bytes.NewReader(raw), &w, f.Dims, 1e-3, SZT, legacy)
-			return w.Bytes(), err
-		}},
-		{"CompressStream32", func() ([]byte, error) {
-			var w bytes.Buffer
-			_, err := CompressStream32(bytes.NewReader(raw32), &w, f.Dims, 1e-3, SZT, legacy)
-			return w.Bytes(), err
-		}},
-		{"CompressStream32Ctx", func() ([]byte, error) {
-			var w bytes.Buffer
-			_, err := CompressStream32Ctx(ctx, bytes.NewReader(raw32), &w, f.Dims, 1e-3, SZT, legacy)
-			return w.Bytes(), err
-		}},
-	}
-	for _, tc := range compressCases {
-		t.Run(tc.name, func(t *testing.T) {
-			got, err := tc.run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Errorf("%s output differs from CompressStreamOpts (%d vs %d bytes)", tc.name, len(got), len(want))
-			}
-		})
-	}
-
-	// Decompress wrappers against the options core.
-	var wantOut bytes.Buffer
-	lim := &DecodeLimits{MaxElements: 1 << 20, MaxChunkBytes: 1 << 20}
-	if _, err := DecompressStreamOpts(bytes.NewReader(want), &wantOut, WithLimits(lim)); err != nil {
-		t.Fatal(err)
-	}
-	decompressCases := []struct {
-		name string
-		run  func() ([]byte, error)
-	}{
-		{"DecompressStream", func() ([]byte, error) {
-			var w bytes.Buffer
-			_, err := DecompressStream(bytes.NewReader(want), &w)
-			return w.Bytes(), err
-		}},
-		{"DecompressStreamCtx", func() ([]byte, error) {
-			var w bytes.Buffer
-			_, err := DecompressStreamCtx(ctx, bytes.NewReader(want), &w, lim)
-			return w.Bytes(), err
-		}},
-	}
-	for _, tc := range decompressCases {
-		t.Run(tc.name, func(t *testing.T) {
-			got, err := tc.run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, wantOut.Bytes()) {
-				t.Errorf("%s output differs from DecompressStreamOpts", tc.name)
-			}
-		})
-	}
-	var out32 bytes.Buffer
-	if _, err := DecompressStream32(bytes.NewReader(want), &out32); err != nil {
-		t.Fatal(err)
-	}
-	var out32ctx bytes.Buffer
-	if _, err := DecompressStream32Ctx(ctx, bytes.NewReader(want), &out32ctx, lim); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(out32.Bytes(), out32ctx.Bytes()) || len(out32.Bytes()) != len(f.Data)*4 {
-		t.Error("32-bit decompress wrappers disagree")
-	}
-
-	// Parallel wrappers.
-	popts := &ParallelOptions{Workers: 2, Chunks: 3, Verify: true, Ctx: ctx}
-	oldPar, err := CompressParallel(f.Data, f.Dims, 1e-3, SZT, popts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	newPar, err := CompressParallelOpts(f.Data, f.Dims, 1e-3, SZT,
-		WithWorkers(2), WithChunks(3), WithVerifyOnWrite(), WithContext(ctx))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(oldPar, newPar) {
-		t.Error("CompressParallel output differs from CompressParallelOpts")
-	}
-	oldDec, _, err := DecompressParallel(oldPar, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctxDec, _, err := DecompressParallelCtx(ctx, oldPar, 2, lim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	newDec, _, err := DecompressParallelOpts(oldPar, WithWorkers(2), WithLimits(lim))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range oldDec {
-		if oldDec[i] != newDec[i] || ctxDec[i] != newDec[i] {
-			t.Fatalf("parallel decode mismatch at %d", i)
-		}
-	}
-}
-
-// rawLE32Append appends one float32 in little-endian raw layout.
-func rawLE32Append(dst []byte, v float32) []byte {
-	bits := math.Float32bits(v)
-	return append(dst, byte(bits), byte(bits>>8), byte(bits>>16), byte(bits>>24))
-}
 
 // TestBudgetDerivation pins the WithMemoryBudget arithmetic:
 // budget ≥ chunkRows × rowStride × (8×(workers+2) + elemSize).
@@ -312,25 +156,5 @@ func TestNilOptionTolerated(t *testing.T) {
 	cfg := resolveStreamConfig([]StreamOption{nil, WithWorkers(3), nil})
 	if cfg.Workers != 3 || cfg.Ctx == nil {
 		t.Fatalf("resolve with nils: %+v", cfg)
-	}
-}
-
-// TestParityErrorPreserved ensures the legacy struct path still rejects
-// a negative ParityK (the translation must not silently drop it).
-func TestParityErrorPreserved(t *testing.T) {
-	defer testutil.NoLeak(t)()
-	f := datagen.NYX(8, 4)[0]
-	var w bytes.Buffer
-	_, err := CompressStream(bytes.NewReader(rawLE(f.Data)), &w, f.Dims, 1e-3, SZT, &StreamOptions{ParityK: -1})
-	if err == nil {
-		t.Fatal("negative ParityK accepted through the legacy wrapper")
-	}
-	var w2 bytes.Buffer
-	_, err2 := CompressStreamOpts(bytes.NewReader(rawLE(f.Data)), &w2, f.Dims, 1e-3, SZT, WithParity(-1))
-	if err2 == nil {
-		t.Fatal("negative ParityK accepted through the options core")
-	}
-	if err.Error() != err2.Error() {
-		t.Errorf("wrapper and core disagree on the ParityK error: %q vs %q", err, err2)
 	}
 }

@@ -1,9 +1,13 @@
 package repro
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -12,15 +16,21 @@ import (
 	"repro/internal/grid"
 )
 
-// Parallel compression: the field is split into chunks along the slowest
-// dimension and each chunk is compressed independently by a worker pool —
-// the shared-memory analogue of the paper's file-per-process parallel
-// evaluation. Prediction-based compressors lose a little ratio at chunk
-// boundaries (each chunk restarts its predictor), which is the same
-// trade-off MPI-rank-local compression makes on real systems.
+// In-memory parallel compression: CompressParallelOpts feeds a field
+// that is already in memory through the stream pipeline (stream.go), so
+// the result is the same sealed, seekable 0xC8 container that
+// CompressStreamOpts writes — one writer per container shape. Chunks
+// are slices along the slowest dimension, each compressed independently
+// by the worker pool: the shared-memory analogue of the paper's
+// file-per-process parallel evaluation. Prediction-based compressors
+// lose a little ratio at chunk boundaries (each chunk restarts its
+// predictor), which is the same trade-off MPI-rank-local compression
+// makes on real systems.
 //
-// The worker pools pull chunk indices from an atomic counter rather than
-// queueing goroutines behind a semaphore: exactly min(workers, chunks)
+// Earlier versions wrote a separate parallel container (magic 0xC6:
+// chunk lengths up front, then the chunk streams). Nothing writes it
+// any more, but DecompressAny still reads it, through a pool that pulls
+// chunk indices from an atomic counter: exactly min(workers, chunks)
 // goroutines run, each checks the pool's context between chunks, and
 // cancellation stops the pool after at most the chunks already being
 // processed.
@@ -30,118 +40,49 @@ const parallelMagic = 0xC6
 // ErrBadChunking reports invalid parallel-compression parameters.
 var ErrBadChunking = errors.New("repro: invalid chunking")
 
-// ParallelOptions tunes the deprecated positional CompressParallel
-// entry point.
-//
-// Deprecated: use the StreamOption functional options (WithWorkers,
-// WithChunks, WithVerifyOnWrite, WithCompressorOptions, WithContext)
-// with CompressParallelOpts. The struct is retained so existing callers
-// keep compiling; it is translated into the same options internally, so
-// output is bit-identical.
-type ParallelOptions struct {
-	// Workers is the worker-pool size (default GOMAXPROCS).
-	Workers int
-	// Chunks is the number of slices along the slowest dimension
-	// (default: Workers, clamped to the dimension's extent).
-	Chunks int
-	// Verify decode-verifies each compressed chunk against its source
-	// slice before the container is assembled, exactly like
-	// StreamOptions.VerifyOnWrite; a mismatch fails with a typed
-	// ErrVerifyFailed.
-	Verify bool
-	// Options passes through per-chunk compressor options.
-	Options *Options
-	// Ctx, when non-nil, cancels the worker pool: compression stops
-	// after the chunks already in flight and returns the context's
-	// error.
-	Ctx context.Context
-}
-
-// CompressParallelOpts compresses data under a point-wise relative
-// bound using multiple cores. The stream interleaves independently
-// decodable chunks and is decoded by DecompressParallelOpts (also in
-// parallel). It consumes the shared StreamOption set: WithWorkers and
-// WithChunks size the pool and the container layout, WithVerifyOnWrite
-// decode-verifies each chunk before the container is assembled,
-// WithCompressorOptions passes through per-chunk compressor options,
-// and WithContext cancels the pool after at most the chunks already in
-// flight.
+// CompressParallelOpts compresses an in-memory field under a point-wise
+// relative bound using multiple cores and returns the sealed stream
+// container, byte-identical to CompressStreamOpts over the field's raw
+// little-endian bytes with the same options. It consumes the shared
+// StreamOption set: WithWorkers, WithChunkRows and WithMemoryBudget
+// size the pool and the chunks, WithParity adds parity frames,
+// WithVerifyOnWrite decode-verifies each chunk before the container
+// seals, WithCompressorOptions passes through per-chunk compressor
+// options, and WithContext cancels the pool after at most the chunks
+// already in flight. WithFloat32 is ignored: the data is float64
+// already. Decode with DecompressAny, or open it with OpenStream.
 func CompressParallelOpts(data []float64, dims []int, relBound float64, algo Algorithm, opts ...StreamOption) ([]byte, error) {
-	return compressParallel(resolveStreamConfig(opts), data, dims, relBound, algo)
-}
-
-// CompressParallel compresses data into a parallel container.
-//
-// Deprecated: use CompressParallelOpts; this wrapper translates popts
-// into the equivalent StreamOption values and delegates, so its output
-// is bit-identical.
-func CompressParallel(data []float64, dims []int, relBound float64, algo Algorithm, popts *ParallelOptions) ([]byte, error) {
-	return CompressParallelOpts(data, dims, relBound, algo, popts.streamOptions()...)
-}
-
-// compressParallel is the pool behind the parallel compress entry
-// points, driven by a resolved StreamConfig.
-func compressParallel(cfg *StreamConfig, data []float64, dims []int, relBound float64, algo Algorithm) ([]byte, error) {
 	if err := grid.Validate(dims, len(data)); err != nil {
 		return nil, err
 	}
-	ctx := orDefault(cfg.Ctx)
-	workers := cfg.defaultWorkers()
-	chunks := cfg.Chunks
-	verify := cfg.VerifyOnWrite
-	opts := cfg.Compressor
-	if chunks <= 0 {
-		chunks = workers
+	cfg := resolveStreamConfig(opts)
+	cfg.Float32 = false
+	var out bytes.Buffer
+	if _, err := compressStream(cfg, &float64Reader{data: data}, &out, dims, relBound, algo); err != nil {
+		return nil, err
 	}
-	if chunks > dims[0] {
-		chunks = dims[0]
-	}
-	if chunks < 1 {
-		chunks = 1
-	}
+	return out.Bytes(), nil
+}
 
-	// Slice along dims[0]: chunk c covers rows [starts[c], starts[c+1]).
-	starts := chunkStarts(dims[0], chunks)
-	rowStride := len(data) / dims[0]
+// float64Reader serves a float64 slice as raw little-endian bytes.
+type float64Reader struct {
+	data []float64
+	off  int // bytes served so far
+}
 
-	type result struct {
-		buf []byte
-		err error
+func (r *float64Reader) Read(p []byte) (int, error) {
+	if r.off == len(r.data)*8 {
+		return 0, io.EOF
 	}
-	results := make([]result, chunks)
-	runPool(ctx, workers, chunks, func(c int) {
-		lo, hi := starts[c], starts[c+1]
-		sub := data[lo*rowStride : hi*rowStride]
-		subDims := append([]int{hi - lo}, dims[1:]...)
-		buf, err := Compress(sub, subDims, relBound, algo, opts)
-		if err == nil && verify {
-			err = verifyChunk(buf, sub, subDims, relBound, algo)
-		}
-		results[c] = result{buf, err}
-	})
-	if err := ctx.Err(); err != nil {
-		return nil, ctxCause(ctx)
+	n := 0
+	for n < len(p) && r.off < len(r.data)*8 {
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(r.data[r.off/8]))
+		c := copy(p[n:], b[r.off%8:])
+		n += c
+		r.off += c
 	}
-	for c := range results {
-		if results[c].err != nil {
-			return nil, fmt.Errorf("chunk %d: %w", c, results[c].err)
-		}
-	}
-
-	// Container: magic | algo | rank | dims... | #chunks | chunk lengths | chunks.
-	out := []byte{parallelMagic, byte(algo)}
-	out = bitio.AppendUvarint(out, uint64(len(dims)))
-	for _, d := range dims {
-		out = bitio.AppendUvarint(out, uint64(d))
-	}
-	out = bitio.AppendUvarint(out, uint64(chunks))
-	for c := range results {
-		out = bitio.AppendUvarint(out, uint64(len(results[c].buf)))
-	}
-	for c := range results {
-		out = append(out, results[c].buf...)
-	}
-	return out, nil
+	return n, nil
 }
 
 // runPool runs fn(0..n-1) on min(workers, n) goroutines pulling indices
@@ -173,37 +114,13 @@ func runPool(ctx context.Context, workers, n int, fn func(int)) {
 	wg.Wait()
 }
 
-// DecompressParallelOpts decodes a CompressParallel container using the
-// shared StreamOption set: WithWorkers sizes the pool (default
-// GOMAXPROCS), WithLimits is enforced before any input-derived
-// allocation or chunk decode, and WithContext cancels the pool after at
-// most the chunks already in flight.
-func DecompressParallelOpts(buf []byte, opts ...StreamOption) ([]float64, []int, error) {
-	return decompressParallel(resolveStreamConfig(opts), buf)
-}
-
-// DecompressParallel decodes a CompressParallel stream using up to
-// `workers` goroutines (0 = GOMAXPROCS).
-//
-// Deprecated: use DecompressParallelOpts with WithWorkers.
-func DecompressParallel(buf []byte, workers int) ([]float64, []int, error) {
-	return DecompressParallelOpts(buf, WithWorkers(workers))
-}
-
-// DecompressParallelCtx is DecompressParallel under a context and decode
-// limits (nil = unlimited).
-//
-// Deprecated: use DecompressParallelOpts with WithContext, WithWorkers,
-// and WithLimits.
-func DecompressParallelCtx(ctx context.Context, buf []byte, workers int, limits *DecodeLimits) ([]float64, []int, error) {
-	return DecompressParallelOpts(buf, WithContext(ctx), WithWorkers(workers), WithLimits(limits))
-}
-
-// decompressParallel is the decode pool behind the parallel decode
-// entry points, driven by a resolved StreamConfig.
-func decompressParallel(cfg *StreamConfig, buf []byte) (_ []float64, _ []int, err error) {
-	defer recoverDecode(&err)
-	ctx := orDefault(cfg.Ctx)
+// decompressParallel decodes a legacy 0xC6 parallel container for
+// DecompressAny: WithWorkers sizes the pool (default GOMAXPROCS),
+// WithLimits is enforced before any input-derived allocation or chunk
+// decode, and WithContext cancels the pool after at most the chunks
+// already in flight.
+func decompressParallel(cfg *StreamConfig, buf []byte) ([]float64, []int, error) {
+	ctx := cfg.Ctx
 	limits := cfg.Limits
 	workers := cfg.Workers
 	if len(buf) < 2 {
@@ -267,7 +184,6 @@ func decompressParallel(cfg *StreamConfig, buf []byte) (_ []float64, _ []int, er
 		workers = runtime.GOMAXPROCS(0)
 	}
 	n := grid.Size(dims)
-	out := make([]float64, n)
 	rowStride := n / dims[0]
 	starts := chunkStarts(dims[0], chunks)
 
@@ -277,6 +193,11 @@ func decompressParallel(cfg *StreamConfig, buf []byte) (_ []float64, _ []int, er
 		off += lengths[c]
 	}
 
+	// Every chunk decodes before the field is allocated: a chunk's
+	// decode is bounded by its own payload, while the header's geometry
+	// is only a claim, so a few hostile bytes declaring billions of
+	// elements fail here instead of sizing the output.
+	decs := make([][]float64, chunks)
 	errs := make([]error, chunks)
 	runPool(ctx, workers, chunks, func(c int) {
 		dec, subDims, err := Decompress(chunkBufs[c])
@@ -284,14 +205,13 @@ func decompressParallel(cfg *StreamConfig, buf []byte) (_ []float64, _ []int, er
 			errs[c] = err
 			return
 		}
-		lo, hi := starts[c], starts[c+1]
-		wantRows := hi - lo
+		wantRows := starts[c+1] - starts[c]
 		if len(subDims) != len(dims) || subDims[0] != wantRows || len(dec) != wantRows*rowStride {
 			errs[c] = fmt.Errorf("%w: chunk decoded to shape %v, want %d rows of stride %d",
 				ErrCorrupt, subDims, wantRows, rowStride)
 			return
 		}
-		copy(out[lo*rowStride:hi*rowStride], dec)
+		decs[c] = dec
 	})
 	if err := ctx.Err(); err != nil {
 		return nil, nil, ctxCause(ctx)
@@ -300,6 +220,10 @@ func decompressParallel(cfg *StreamConfig, buf []byte) (_ []float64, _ []int, er
 		if err != nil {
 			return nil, nil, fmt.Errorf("chunk %d: %w", c, err)
 		}
+	}
+	out := make([]float64, n)
+	for c, dec := range decs {
+		copy(out[starts[c]*rowStride:], dec)
 	}
 	return out, dims, nil
 }
@@ -314,29 +238,34 @@ func chunkStarts(rows, chunks int) []int {
 	return starts
 }
 
-// IsParallelStream reports whether buf was produced by CompressParallel.
+// IsParallelStream reports whether buf is a legacy 0xC6 parallel
+// container, as written by earlier versions of CompressParallelOpts.
 func IsParallelStream(buf []byte) bool {
 	return len(buf) >= 2 && buf[0] == parallelMagic
 }
 
-// DecompressAny decodes a plain, parallel, or stream-container buffer.
-func DecompressAny(buf []byte) ([]float64, []int, error) {
-	return DecompressAnyLimits(buf, nil)
-}
-
-// DecompressAnyLimits is DecompressAny with decode limits (nil =
-// unlimited) enforced on whichever container format the buffer carries.
-func DecompressAnyLimits(buf []byte, limits *DecodeLimits) (_ []float64, _ []int, err error) {
+// DecompressAny decodes any single-field container this package writes
+// or has written: a plain Compress stream (0xC5), a stream container
+// (0xC8), or a legacy parallel container (0xC6). WithLimits is enforced
+// on whichever format the buffer carries, WithWorkers sizes the decode
+// pool of the chunked formats, and WithContext cancels the decode.
+// WithFloat32 is ignored: the result is float64.
+func DecompressAny(buf []byte, opts ...StreamOption) (_ []float64, _ []int, err error) {
 	defer recoverDecode(&err)
+	cfg := resolveStreamConfig(opts)
+	cfg.Float32 = false
 	if IsParallelStream(buf) {
-		return DecompressParallelCtx(context.Background(), buf, 0, limits)
+		return decompressParallel(cfg, buf)
 	}
 	if IsStreamContainer(buf) {
-		return decompressStreamBuf(buf, limits)
+		return decompressStreamBuf(cfg, buf)
+	}
+	if err := cfg.Ctx.Err(); err != nil {
+		return nil, nil, ctxCause(cfg.Ctx)
 	}
 	data, dims, err := Decompress(buf)
 	if err == nil {
-		if lerr := limits.checkElements(int64(len(data))); lerr != nil {
+		if lerr := cfg.Limits.checkElements(int64(len(data))); lerr != nil {
 			return nil, nil, lerr
 		}
 	}

@@ -16,18 +16,19 @@ func TestParallelRoundTrip(t *testing.T) {
 	fields := datagen.NYX(24, 11)
 	f := fields[0]
 	rel := 1e-2
-	for _, chunks := range []int{1, 2, 3, 7, 24} {
-		buf, err := CompressParallel(f.Data, f.Dims, rel, SZT,
-			&ParallelOptions{Workers: 4, Chunks: chunks})
+	// 24 rows: one chunk, two, three, a clipped last chunk, one row each.
+	for _, chunkRows := range []int{24, 12, 8, 7, 1} {
+		buf, err := CompressParallelOpts(f.Data, f.Dims, rel, SZT,
+			WithWorkers(4), WithChunkRows(chunkRows))
 		if err != nil {
-			t.Fatalf("chunks=%d: %v", chunks, err)
+			t.Fatalf("chunkRows=%d: %v", chunkRows, err)
 		}
-		if !IsParallelStream(buf) {
-			t.Fatal("not detected as parallel stream")
+		if !IsStreamContainer(buf) {
+			t.Fatal("not detected as a stream container")
 		}
-		dec, dims, err := DecompressParallel(buf, 4)
+		dec, dims, err := DecompressAny(buf, WithWorkers(4))
 		if err != nil {
-			t.Fatalf("chunks=%d: %v", chunks, err)
+			t.Fatalf("chunkRows=%d: %v", chunkRows, err)
 		}
 		if !grid.EqualDims(dims, f.Dims) {
 			t.Fatalf("dims %v", dims)
@@ -37,20 +38,21 @@ func TestParallelRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		if st.Max > rel {
-			t.Fatalf("chunks=%d: max rel %g > %g", chunks, st.Max, rel)
+			t.Fatalf("chunkRows=%d: max rel %g > %g", chunkRows, st.Max, rel)
 		}
 	}
 }
 
+// TestParallelMoreChunksThanRows asks for chunks longer than the field:
+// the chunk-row count clamps to the three rows there are.
 func TestParallelMoreChunksThanRows(t *testing.T) {
 	defer testutil.NoLeak(t)()
 	data := []float64{1, 2, 3, 4, 5, 6}
-	buf, err := CompressParallel(data, []int{3, 2}, 0.01, SZT,
-		&ParallelOptions{Chunks: 100})
+	buf, err := CompressParallelOpts(data, []int{3, 2}, 0.01, SZT, WithChunkRows(100))
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, _, err := DecompressParallel(buf, 0)
+	dec, _, err := DecompressAny(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +69,7 @@ func TestParallelAllAlgorithms(t *testing.T) {
 	f := fields[0]
 	rel := 0.05
 	for _, algo := range RelativeAlgorithms() {
-		buf, err := CompressParallel(f.Data, f.Dims, rel, algo, &ParallelOptions{Chunks: 4})
+		buf, err := CompressParallelOpts(f.Data, f.Dims, rel, algo, WithChunkRows(4))
 		if err != nil {
 			t.Fatalf("%v: %v", algo, err)
 		}
@@ -95,7 +97,7 @@ func TestParallelMatchesSerialBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := CompressParallel(f.Data, f.Dims, rel, SZT, &ParallelOptions{Chunks: 4})
+	par, err := CompressParallelOpts(f.Data, f.Dims, rel, SZT, WithChunkRows(12))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,12 +125,12 @@ func TestParallelCorrupt(t *testing.T) {
 	defer testutil.NoLeak(t)()
 	fields := datagen.NYX(16, 14)
 	f := fields[0]
-	buf, err := CompressParallel(f.Data, f.Dims, 0.01, SZT, &ParallelOptions{Chunks: 4})
+	buf, err := CompressParallelOpts(f.Data, f.Dims, 0.01, SZT, WithChunkRows(4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, cut := range []int{0, 1, 3, 10, len(buf) / 2} {
-		if _, _, err := DecompressParallel(buf[:cut], 0); err == nil {
+		if _, _, err := DecompressAny(buf[:cut]); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}
@@ -136,7 +138,7 @@ func TestParallelCorrupt(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		mut := append([]byte(nil), buf...)
 		mut[rng.Intn(len(mut))] ^= byte(1 << rng.Intn(8))
-		_, _, _ = DecompressParallel(mut, 0) // must not panic
+		_, _, _ = DecompressAny(mut) // must not panic
 	}
 }
 
@@ -163,8 +165,8 @@ func BenchmarkCompressParallel4(b *testing.B) {
 	f := fields[0]
 	b.SetBytes(int64(f.Bytes()))
 	for i := 0; i < b.N; i++ {
-		if _, err := CompressParallel(f.Data, f.Dims, 1e-2, SZT,
-			&ParallelOptions{Workers: 4, Chunks: 8}); err != nil {
+		if _, err := CompressParallelOpts(f.Data, f.Dims, 1e-2, SZT,
+			WithWorkers(4), WithChunkRows(6)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -25,8 +25,8 @@ func parityFixture(t *testing.T) (stream, clean []byte, frames, parity []streamf
 		data[i] = 35*math.Sin(float64(i)/4) + 80
 	}
 	var sb bytes.Buffer
-	st, err := CompressStream(bytes.NewReader(rawLE(data)), &sb, dims, 1e-2, SZT,
-		&StreamOptions{Workers: 2, ChunkRows: 2, ParityK: 2})
+	st, err := CompressStreamOpts(bytes.NewReader(rawLE(data)), &sb, dims, 1e-2, SZT,
+		WithWorkers(2), WithChunkRows(2), WithParity(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,9 +52,9 @@ func TestStreamParityRoundTrip(t *testing.T) {
 	stream, clean, _, _, _ := parityFixture(t)
 
 	var out bytes.Buffer
-	st, err := DecompressStream(bytes.NewReader(stream), &out)
+	st, err := DecompressStreamOpts(bytes.NewReader(stream), &out)
 	if err != nil {
-		t.Fatalf("DecompressStream over parity container: %v", err)
+		t.Fatalf("DecompressStreamOpts over parity container: %v", err)
 	}
 	if !bytes.Equal(out.Bytes(), clean) {
 		t.Fatal("parity container decodes differently")
@@ -75,8 +75,8 @@ func TestStreamParityOptionValidated(t *testing.T) {
 	data := rawLE(make([]float64, 8))
 	for _, k := range []int{-1, streamfmt.MaxParityK + 1} {
 		var sb bytes.Buffer
-		_, err := CompressStream(bytes.NewReader(data), &sb, []int{8}, 1e-2, SZT,
-			&StreamOptions{ParityK: k})
+		_, err := CompressStreamOpts(bytes.NewReader(data), &sb, []int{8}, 1e-2, SZT,
+			WithParity(k))
 		if err == nil {
 			t.Fatalf("ParityK=%d accepted", k)
 		}
@@ -320,15 +320,15 @@ func TestVerifyOnWrite(t *testing.T) {
 	}
 	for _, algo := range RelativeAlgorithms() {
 		var sb bytes.Buffer
-		st, err := CompressStream(bytes.NewReader(rawLE(data)), &sb, dims, 1e-2, algo,
-			&StreamOptions{Workers: 2, ChunkRows: 2, VerifyOnWrite: true})
+		st, err := CompressStreamOpts(bytes.NewReader(rawLE(data)), &sb, dims, 1e-2, algo,
+			WithWorkers(2), WithChunkRows(2), WithVerifyOnWrite())
 		if err != nil {
 			t.Fatalf("%v: VerifyOnWrite compress: %v", algo, err)
 		}
 		if st.VerifiedChunks != st.Chunks || st.Chunks != 5 {
 			t.Fatalf("%v: verified %d of %d chunks", algo, st.VerifiedChunks, st.Chunks)
 		}
-		if _, err := DecompressStream(bytes.NewReader(sb.Bytes()), bytes.NewBuffer(nil)); err != nil {
+		if _, err := DecompressStreamOpts(bytes.NewReader(sb.Bytes()), bytes.NewBuffer(nil)); err != nil {
 			t.Fatalf("%v: verified container does not decode: %v", algo, err)
 		}
 	}
@@ -364,7 +364,7 @@ func TestVerifyOnWrite(t *testing.T) {
 	}
 }
 
-// TestParallelVerify wires ParallelOptions.Verify through the in-memory
+// TestParallelVerify wires WithVerifyOnWrite through the in-memory
 // parallel path.
 func TestParallelVerify(t *testing.T) {
 	defer testutil.NoLeak(t)()
@@ -372,11 +372,11 @@ func TestParallelVerify(t *testing.T) {
 	for i := range data {
 		data[i] = 20*math.Cos(float64(i)/7) + 50
 	}
-	buf, err := CompressParallel(data, []int{12, 8}, 1e-2, SZT, &ParallelOptions{Chunks: 3, Verify: true})
+	buf, err := CompressParallelOpts(data, []int{12, 8}, 1e-2, SZT, WithChunkRows(4), WithVerifyOnWrite())
 	if err != nil {
-		t.Fatalf("CompressParallel with Verify: %v", err)
+		t.Fatalf("CompressParallelOpts with WithVerifyOnWrite: %v", err)
 	}
-	dec, _, err := DecompressParallel(buf, 2)
+	dec, _, err := DecompressAny(buf, WithWorkers(2))
 	if err != nil || len(dec) != len(data) {
 		t.Fatalf("verified parallel stream decode: %d elements, %v", len(dec), err)
 	}

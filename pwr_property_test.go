@@ -5,7 +5,7 @@ package repro_test
 // across every relative-bound algorithm and three bounds, asserting
 // Theorem 2's point-wise relative guarantee element by element — for
 // the in-memory path (Compress) and the bounded-memory streaming path
-// (CompressStream). Algorithm-specific relaxations mirror the paper's
+// (CompressStreamOpts). Algorithm-specific relaxations mirror the paper's
 // Table IV: ZFP_P does not guarantee the bound ("*"), and SZ_PWR does
 // not preserve exact zeros.
 
@@ -55,12 +55,12 @@ func streamRoundTrip(t *testing.T, f *testutil.AdversarialField, rel float64, al
 	if chunkRows < 1 {
 		chunkRows = 1
 	}
-	if _, err := repro.CompressStream(bytes.NewReader(raw), &comp, f.Dims, rel, algo,
-		&repro.StreamOptions{Workers: 2, ChunkRows: chunkRows}); err != nil {
+	if _, err := repro.CompressStreamOpts(bytes.NewReader(raw), &comp, f.Dims, rel, algo,
+		repro.WithWorkers(2), repro.WithChunkRows(chunkRows)); err != nil {
 		return nil, err
 	}
 	var dec bytes.Buffer
-	if _, err := repro.DecompressStream(bytes.NewReader(comp.Bytes()), &dec); err != nil {
+	if _, err := repro.DecompressStreamOpts(bytes.NewReader(comp.Bytes()), &dec); err != nil {
 		t.Fatalf("decode of own stream failed: %v", err)
 	}
 	db := dec.Bytes()
@@ -157,7 +157,7 @@ func seekRanges(rows, chunkRows uint64) [][2]uint64 {
 // property harness: for every RelativeAlgorithm × bound × adversarial
 // field, and for both output widths, ReadRows of every adversarial
 // range must be byte-identical to the corresponding slice of a full
-// DecompressStream / DecompressStream32 pass over the same container.
+// DecompressStreamOpts pass, at the same width, over the same container.
 func TestSeekReadRowsEquivalence(t *testing.T) {
 	fields := testutil.AdversarialFields(20180704)
 	for _, algo := range repro.RelativeAlgorithms() {
@@ -176,8 +176,8 @@ func TestSeekReadRowsEquivalence(t *testing.T) {
 						chunkRows = 1
 					}
 					var comp bytes.Buffer
-					if _, err := repro.CompressStream(bytes.NewReader(raw), &comp, f.Dims, rel, algo,
-						&repro.StreamOptions{Workers: 2, ChunkRows: chunkRows}); err != nil {
+					if _, err := repro.CompressStreamOpts(bytes.NewReader(raw), &comp, f.Dims, rel, algo,
+						repro.WithWorkers(2), repro.WithChunkRows(chunkRows)); err != nil {
 						if f.Extreme {
 							continue
 						}
@@ -187,11 +187,11 @@ func TestSeekReadRowsEquivalence(t *testing.T) {
 					stream := comp.Bytes()
 
 					var full bytes.Buffer
-					if _, err := repro.DecompressStream(bytes.NewReader(stream), &full); err != nil {
+					if _, err := repro.DecompressStreamOpts(bytes.NewReader(stream), &full); err != nil {
 						t.Fatalf("%s: full decode: %v", name, err)
 					}
 					var full32 bytes.Buffer
-					if _, err := repro.DecompressStream32(bytes.NewReader(stream), &full32); err != nil {
+					if _, err := repro.DecompressStreamOpts(bytes.NewReader(stream), &full32, repro.WithFloat32()); err != nil {
 						t.Fatalf("%s: full float32 decode: %v", name, err)
 					}
 

@@ -10,7 +10,7 @@ import (
 )
 
 // Salvage decode: best-effort recovery from a damaged stream container.
-// Where DecompressStream aborts at the first bad frame, salvage uses the
+// Where DecompressStreamOpts aborts at the first bad frame, salvage uses the
 // container's redundant geometry — per-chunk CRCs plus the sealing index
 // frame — to verify each chunk independently, skip the damaged ones, and
 // resynchronize at the next intact frame. Rows covered by lost chunks

@@ -19,8 +19,8 @@ func salvageFixture(t *testing.T) (stream, clean []byte, frames []streamfmt.Fram
 		data[i] = 40*math.Cos(float64(i)/3) + 90
 	}
 	var sb bytes.Buffer
-	if _, err := CompressStream(bytes.NewReader(rawLE(data)), &sb, dims, 1e-2, SZT,
-		&StreamOptions{Workers: 2, ChunkRows: 2}); err != nil {
+	if _, err := CompressStreamOpts(bytes.NewReader(rawLE(data)), &sb, dims, 1e-2, SZT,
+		WithWorkers(2), WithChunkRows(2)); err != nil {
 		t.Fatal(err)
 	}
 	stream = sb.Bytes()
@@ -84,7 +84,7 @@ func TestSalvageCleanStream(t *testing.T) {
 		t.Fatalf("clean stream: %+v", rep)
 	}
 	if !bytes.Equal(got, clean) {
-		t.Fatal("clean salvage output differs from DecompressStream")
+		t.Fatal("clean salvage output differs from DecompressStreamOpts")
 	}
 }
 

@@ -93,8 +93,8 @@ func (h *StreamHandle) Stats() StreamStats {
 // which must hold at least count×RowStride() elements. Only the chunks
 // covering the range are fetched and decoded; partial chunks at either
 // end are trimmed to the requested rows. The reconstruction is
-// byte-identical to the corresponding slice of a full DecompressStream
-// pass.
+// byte-identical to the corresponding slice of a full
+// DecompressStreamOpts pass.
 func (h *StreamHandle) ReadRows(dst []float64, start, count uint64) error {
 	return h.ReadRowsCtx(h.cfg.Ctx, dst, start, count)
 }
@@ -116,8 +116,8 @@ func (h *StreamHandle) ReadRowsCtx(ctx context.Context, dst []float64, start, co
 
 // ReadRows32 is ReadRows with float32 output: chunks decode on the
 // float64 worker path and each element is narrowed at the copy into
-// dst, mirroring DecompressStream32's width contract (narrowing adds at
-// most a 2⁻²⁴ relative rounding step on top of the stream's bound).
+// dst, mirroring DecompressStreamOpts under WithFloat32 (narrowing adds
+// at most a 2⁻²⁴ relative rounding step on top of the stream's bound).
 func (h *StreamHandle) ReadRows32(dst []float32, start, count uint64) error {
 	return h.ReadRows32Ctx(h.cfg.Ctx, dst, start, count)
 }

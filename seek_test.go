@@ -23,8 +23,8 @@ import (
 func seekContainer(t testing.TB, data []float64, dims []int, chunkRows int) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if _, err := CompressStream(bytes.NewReader(rawLE(data)), &buf, dims, 1e-3, SZT,
-		&StreamOptions{Workers: 2, ChunkRows: chunkRows}); err != nil {
+	if _, err := CompressStreamOpts(bytes.NewReader(rawLE(data)), &buf, dims, 1e-3, SZT,
+		WithWorkers(2), WithChunkRows(chunkRows)); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -81,7 +81,7 @@ func TestOpenStreamBasics(t *testing.T) {
 	}
 	for i := range full {
 		if math.Float64bits(got[i]) != math.Float64bits(full[i]) {
-			t.Fatalf("full-range ReadRows differs from DecompressStream at %d: %g vs %g", i, got[i], full[i])
+			t.Fatalf("full-range ReadRows differs from DecompressStreamOpts at %d: %g vs %g", i, got[i], full[i])
 		}
 	}
 	st := h.Stats()

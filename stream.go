@@ -16,10 +16,10 @@ import (
 	"repro/internal/streamfmt"
 )
 
-// Streaming compression: the same chunked scheme as CompressParallel —
-// slices along dims[0], one self-describing Compress stream per chunk —
-// but the field flows through a bounded pipeline instead of being
-// materialized: a reader goroutine slices rows off an io.Reader of raw
+// Streaming compression: the field is cut into slices along dims[0],
+// one self-describing Compress stream per chunk, and flows through a
+// bounded pipeline instead of being materialized: a reader goroutine
+// slices rows off an io.Reader of raw
 // little-endian float64s, a worker pool compresses chunks concurrently,
 // and a writer goroutine emits framed chunks (internal/streamfmt) in
 // field order. Peak memory is O(workers × chunk), independent of field
@@ -28,7 +28,7 @@ import (
 // deployment shape, as FRaZ and the bit-adaptive particle compressor
 // stress for practical pipelines).
 //
-// Both directions come in a Ctx variant that threads a context.Context
+// Both directions take WithContext, which threads a context.Context
 // through the reader/worker/writer stages: cancellation (like a sink
 // write error) closes the pipeline's stop channel, after which the
 // reader pulls no further frames, the worker pool drains, and every
@@ -41,41 +41,6 @@ import (
 // OpenStream (seek.go) rebuilds the chunk offset table from the tail
 // index frame and serves arbitrary row ranges at O(touched chunks)
 // cost through the same worker-pool machinery.
-
-// StreamOptions tunes the deprecated positional CompressStream entry
-// points.
-//
-// Deprecated: use the StreamOption functional options (WithWorkers,
-// WithChunkRows, WithParity, WithVerifyOnWrite, WithCompressorOptions,
-// WithMemoryBudget) with CompressStreamOpts/DecompressStreamOpts. The
-// struct is retained so existing callers keep compiling; it is
-// translated into the same options internally, so output is
-// bit-identical.
-type StreamOptions struct {
-	// Workers is the compression worker-pool size (default GOMAXPROCS).
-	Workers int
-	// ChunkRows is the number of dims[0]-rows per chunk (default: enough
-	// rows for ~256Ki elements, clamped to [1, dims[0]]). The last chunk
-	// is clipped at the field boundary.
-	ChunkRows int
-	// ParityK, when positive, emits one XOR parity frame per K data
-	// chunks (the final group may be shorter), making the container
-	// self-healing: salvage and the seekable read path reconstruct any
-	// single lost chunk per group byte-identically. Size overhead is
-	// roughly 1/K of the compressed payload; zero keeps today's
-	// parity-free format bit-identical.
-	ParityK int
-	// VerifyOnWrite decode-verifies every sealed chunk against its
-	// source rows — shape, NaN/Inf/zero preservation, and the
-	// point-wise relative bound where the algorithm guarantees it —
-	// before the index commits. A mismatch fails the stream with a
-	// typed ErrVerifyFailed, turning silent encoder or memory
-	// corruption into a write-time error at the cost of one extra
-	// decode per chunk.
-	VerifyOnWrite bool
-	// Options passes through per-chunk compressor options.
-	Options *Options
-}
 
 // StreamStats reports per-stream observability counters. All fields are
 // totals over the whole stream; wall times are per stage (Codec summed
@@ -185,50 +150,12 @@ func ctxCause(ctx context.Context) error {
 // DecompressStreamOpts) to w. Peak memory is O(workers × chunk), not
 // O(field) — and WithMemoryBudget turns that into an explicit byte
 // target by deriving the unset chunk-rows/worker knobs. The chunk
-// payloads are ordinary Compress streams, so for matching chunk
-// boundaries the decoded field is element-wise identical to Decompress
-// of a CompressParallel stream. Elements are float64 unless WithFloat32
-// selects the narrow input width (widened exactly, identical container
-// bytes).
+// payloads are ordinary Compress streams. Elements are float64 unless
+// WithFloat32 selects the narrow input width (widened exactly, identical
+// container bytes); CompressParallelOpts writes the same container from
+// a float64 slice already in memory.
 func CompressStreamOpts(r io.Reader, w io.Writer, dims []int, relBound float64, algo Algorithm, opts ...StreamOption) (*StreamStats, error) {
 	return compressStream(resolveStreamConfig(opts), r, w, dims, relBound, algo)
-}
-
-// CompressStream compresses a raw little-endian float64 field from r
-// into a stream container on w.
-//
-// Deprecated: use CompressStreamOpts; this wrapper translates opts into
-// the equivalent StreamOption values and delegates, so its output is
-// bit-identical.
-func CompressStream(r io.Reader, w io.Writer, dims []int, relBound float64, algo Algorithm, opts *StreamOptions) (*StreamStats, error) {
-	return CompressStreamOpts(r, w, dims, relBound, algo, opts.streamOptions()...)
-}
-
-// CompressStreamCtx is CompressStream under a context.
-//
-// Deprecated: use CompressStreamOpts with WithContext.
-func CompressStreamCtx(ctx context.Context, r io.Reader, w io.Writer, dims []int, relBound float64, algo Algorithm, opts *StreamOptions) (*StreamStats, error) {
-	return CompressStreamOpts(r, w, dims, relBound, algo, append(opts.streamOptions(), WithContext(ctx))...)
-}
-
-// CompressStream32 is CompressStream for a raw little-endian float32
-// field: the reader widens each element to float64 (exact) and the rest
-// of the pipeline — worker pool, chunk payloads, container framing — is
-// the float64 path, so the container is decodable by DecompressStream
-// (float64 out) or DecompressStream32 (float32 out). Mirrors Compress32's
-// widening semantics: the point-wise relative bound applies to the
-// widened values, which equal the float32 inputs exactly.
-//
-// Deprecated: use CompressStreamOpts with WithFloat32.
-func CompressStream32(r io.Reader, w io.Writer, dims []int, relBound float64, algo Algorithm, opts *StreamOptions) (*StreamStats, error) {
-	return CompressStreamOpts(r, w, dims, relBound, algo, append(opts.streamOptions(), WithFloat32())...)
-}
-
-// CompressStream32Ctx is CompressStream32 under a context.
-//
-// Deprecated: use CompressStreamOpts with WithFloat32 and WithContext.
-func CompressStream32Ctx(ctx context.Context, r io.Reader, w io.Writer, dims []int, relBound float64, algo Algorithm, opts *StreamOptions) (*StreamStats, error) {
-	return CompressStreamOpts(r, w, dims, relBound, algo, append(opts.streamOptions(), WithFloat32(), WithContext(ctx))...)
 }
 
 // compressStream is the pipeline behind every stream-compress entry
@@ -532,44 +459,6 @@ func DecompressStreamOpts(r io.Reader, w io.Writer, opts ...StreamOption) (*Stre
 	return decompressStream(resolveStreamConfig(opts), r, w)
 }
 
-// DecompressStream decodes a stream container from r into raw
-// little-endian float64 bytes on w.
-//
-// Deprecated: use DecompressStreamOpts; this wrapper delegates with the
-// equivalent options.
-func DecompressStream(r io.Reader, w io.Writer) (*StreamStats, error) {
-	return DecompressStreamOpts(r, w)
-}
-
-// DecompressStreamCtx is DecompressStream under a context and decode
-// limits.
-//
-// Deprecated: use DecompressStreamOpts with WithContext and WithLimits.
-func DecompressStreamCtx(ctx context.Context, r io.Reader, w io.Writer, limits *DecodeLimits) (*StreamStats, error) {
-	return DecompressStreamOpts(r, w, WithContext(ctx), WithLimits(limits))
-}
-
-// DecompressStream32 is DecompressStream with float32 output: chunks are
-// decoded on the float64 worker path and each element is narrowed to a
-// raw little-endian float32 at the writer. The element width is the
-// caller's choice, exactly as with Decompress vs Decompress32 — narrowing
-// adds at most a 2⁻²⁴ relative rounding step on top of the stream's
-// point-wise bound.
-//
-// Deprecated: use DecompressStreamOpts with WithFloat32.
-func DecompressStream32(r io.Reader, w io.Writer) (*StreamStats, error) {
-	return DecompressStreamOpts(r, w, WithFloat32())
-}
-
-// DecompressStream32Ctx is DecompressStream32 under a context and decode
-// limits.
-//
-// Deprecated: use DecompressStreamOpts with WithFloat32, WithContext,
-// and WithLimits.
-func DecompressStream32Ctx(ctx context.Context, r io.Reader, w io.Writer, limits *DecodeLimits) (*StreamStats, error) {
-	return DecompressStreamOpts(r, w, WithFloat32(), WithContext(ctx), WithLimits(limits))
-}
-
 // decompressStream is the decode pipeline behind every stream-decode
 // entry point, driven by a resolved StreamConfig.
 func decompressStream(cfg *StreamConfig, r io.Reader, w io.Writer) (_ *StreamStats, err error) {
@@ -788,7 +677,7 @@ drain:
 	return stats, nil
 }
 
-// IsStreamContainer reports whether buf starts a CompressStream
+// IsStreamContainer reports whether buf starts a CompressStreamOpts
 // container (either the parity-free or the parity-carrying version).
 func IsStreamContainer(buf []byte) bool {
 	return len(buf) >= 2 && buf[0] == streamfmt.Magic &&
@@ -797,15 +686,15 @@ func IsStreamContainer(buf []byte) bool {
 
 // decompressStreamBuf decodes an in-memory stream container (the
 // convenience path behind DecompressAny; the streaming path is
-// DecompressStream).
-func decompressStreamBuf(buf []byte, limits *DecodeLimits) ([]float64, []int, error) {
-	hr, err := streamfmt.NewReaderLimits(bytes.NewReader(buf), limits.streamLimits())
+// DecompressStreamOpts). cfg must select float64 output.
+func decompressStreamBuf(cfg *StreamConfig, buf []byte) ([]float64, []int, error) {
+	hr, err := streamfmt.NewReaderLimits(bytes.NewReader(buf), cfg.Limits.streamLimits())
 	if err != nil {
 		return nil, nil, err
 	}
 	dims := append([]int(nil), hr.Header().Dims...)
 	var out bytes.Buffer
-	if _, err := DecompressStreamCtx(context.Background(), bytes.NewReader(buf), &out, limits); err != nil {
+	if _, err := decompressStream(cfg, bytes.NewReader(buf), &out); err != nil {
 		return nil, nil, err
 	}
 	raw := out.Bytes()

@@ -10,7 +10,7 @@ import (
 )
 
 // rawLE32 serializes a field in the raw little-endian float32 layout
-// CompressStream32 reads and DecompressStream32 writes.
+// the stream pipeline reads and writes under WithFloat32.
 func rawLE32(data []float32) []byte {
 	raw := make([]byte, len(data)*4)
 	for i, v := range data {
@@ -35,10 +35,10 @@ func widen32(data []float32) []float64 {
 	return out
 }
 
-// TestStream32RoundTrip pushes float32 fields through CompressStream32
-// and back through both decoders: DecompressStream32 (float32 out, the
-// mirror path) and DecompressStream (float64 out, proving the container
-// is the ordinary 0xC8 format). The point-wise relative bound holds on
+// TestStream32RoundTrip pushes float32 fields through CompressStreamOpts
+// with WithFloat32 and back through both decode widths: float32 out (the
+// mirror path) and float64 out (proving the container is the ordinary
+// 0xC8 format). The point-wise relative bound holds on
 // the widened values; the float32 writer adds at most one 2⁻²⁴ rounding
 // step on top.
 func TestStream32RoundTrip(t *testing.T) {
@@ -67,8 +67,8 @@ func TestStream32RoundTrip(t *testing.T) {
 		orig := widen32(data)
 		for _, algo := range RelativeAlgorithms() {
 			var comp bytes.Buffer
-			st, err := CompressStream32(bytes.NewReader(raw), &comp, fc.dims, rel, algo,
-				&StreamOptions{Workers: 2, ChunkRows: (fc.dims[0] + 2) / 3})
+			st, err := CompressStreamOpts(bytes.NewReader(raw), &comp, fc.dims, rel, algo,
+				WithWorkers(2), WithChunkRows((fc.dims[0]+2)/3), WithFloat32())
 			if err != nil {
 				t.Fatalf("%s %v: compress32: %v", fc.name, algo, err)
 			}
@@ -77,7 +77,7 @@ func TestStream32RoundTrip(t *testing.T) {
 			}
 
 			var dec32 bytes.Buffer
-			dst, err := DecompressStream32(bytes.NewReader(comp.Bytes()), &dec32)
+			dst, err := DecompressStreamOpts(bytes.NewReader(comp.Bytes()), &dec32, WithFloat32())
 			if err != nil {
 				t.Fatalf("%s %v: decompress32: %v", fc.name, algo, err)
 			}
@@ -92,7 +92,7 @@ func TestStream32RoundTrip(t *testing.T) {
 			// The same container must decode on the float64 path, where
 			// the stream's own bound applies with no narrowing step.
 			var dec64 bytes.Buffer
-			if _, err := DecompressStream(bytes.NewReader(comp.Bytes()), &dec64); err != nil {
+			if _, err := DecompressStreamOpts(bytes.NewReader(comp.Bytes()), &dec64); err != nil {
 				t.Fatalf("%s %v: decompress (float64 path): %v", fc.name, algo, err)
 			}
 			testutil.CheckPWR(t, orig, fromLE(dec64.Bytes()), rel)
@@ -101,8 +101,8 @@ func TestStream32RoundTrip(t *testing.T) {
 }
 
 // TestStream32MatchesWidenedStream verifies the mirroring claim
-// bit-exactly: CompressStream32 of float32 input produces the same
-// container bytes as CompressStream of the pre-widened field under the
+// bit-exactly: float32 input under WithFloat32 produces the same
+// container bytes as float64 input of the pre-widened field under the
 // same chunking, because widening float32→float64 is exact.
 func TestStream32MatchesWidenedStream(t *testing.T) {
 	defer testutil.NoLeak(t)()
@@ -111,18 +111,19 @@ func TestStream32MatchesWidenedStream(t *testing.T) {
 	for i := range data {
 		data[i] = float32(math.Exp(float64(i%37)/11) - 3)
 	}
-	opts := &StreamOptions{Workers: 1, ChunkRows: 5}
+	opts := []StreamOption{WithWorkers(1), WithChunkRows(5)}
 	const rel = 2e-4
 	for _, algo := range RelativeAlgorithms() {
 		var from32, from64 bytes.Buffer
-		if _, err := CompressStream32(bytes.NewReader(rawLE32(data)), &from32, dims, rel, algo, opts); err != nil {
+		if _, err := CompressStreamOpts(bytes.NewReader(rawLE32(data)), &from32, dims, rel, algo,
+			append(opts, WithFloat32())...); err != nil {
 			t.Fatalf("%v: compress32: %v", algo, err)
 		}
-		if _, err := CompressStream(bytes.NewReader(rawLE(widen32(data))), &from64, dims, rel, algo, opts); err != nil {
+		if _, err := CompressStreamOpts(bytes.NewReader(rawLE(widen32(data))), &from64, dims, rel, algo, opts...); err != nil {
 			t.Fatalf("%v: compress: %v", algo, err)
 		}
 		if !bytes.Equal(from32.Bytes(), from64.Bytes()) {
-			t.Errorf("%v: CompressStream32 container differs from CompressStream of the widened field", algo)
+			t.Errorf("%v: float32 container differs from the widened float64 container", algo)
 		}
 	}
 }
@@ -138,8 +139,8 @@ func TestStream32ShortInput(t *testing.T) {
 	}
 	raw := rawLE32(data)
 	var comp bytes.Buffer
-	_, err := CompressStream32(bytes.NewReader(raw[:len(raw)-5]), &comp, dims, 1e-3, SZT, nil)
+	_, err := CompressStreamOpts(bytes.NewReader(raw[:len(raw)-5]), &comp, dims, 1e-3, SZT, WithFloat32())
 	if err == nil {
-		t.Fatal("CompressStream32 accepted a truncated float32 source")
+		t.Fatal("WithFloat32 compress accepted a truncated float32 source")
 	}
 }

@@ -33,9 +33,9 @@ func fromLE(raw []byte) []float64 {
 	return out
 }
 
-// TestStreamRoundTrip pushes 1D/2D/3D fields through CompressStream and
-// DecompressStream for every relative-bound algorithm and checks the
-// advertised error guarantees survive the chunked pipeline.
+// TestStreamRoundTrip pushes 1D/2D/3D fields through CompressStreamOpts
+// and DecompressStreamOpts for every relative-bound algorithm and checks
+// the advertised error guarantees survive the chunked pipeline.
 func TestStreamRoundTrip(t *testing.T) {
 	defer testutil.NoLeak(t)()
 	fields := []struct {
@@ -59,8 +59,8 @@ func TestStreamRoundTrip(t *testing.T) {
 		raw := rawLE(data)
 		for _, algo := range RelativeAlgorithms() {
 			var comp bytes.Buffer
-			st, err := CompressStream(bytes.NewReader(raw), &comp, fc.dims, rel, algo,
-				&StreamOptions{Workers: 3, ChunkRows: (fc.dims[0] + 3) / 4})
+			st, err := CompressStreamOpts(bytes.NewReader(raw), &comp, fc.dims, rel, algo,
+				WithWorkers(3), WithChunkRows((fc.dims[0]+3)/4))
 			if err != nil {
 				t.Fatalf("%s %v: compress: %v", fc.name, algo, err)
 			}
@@ -71,7 +71,7 @@ func TestStreamRoundTrip(t *testing.T) {
 				t.Errorf("%s %v: BytesOut %d want %d", fc.name, algo, st.BytesOut, comp.Len())
 			}
 			var dec bytes.Buffer
-			dst, err := DecompressStream(bytes.NewReader(comp.Bytes()), &dec)
+			dst, err := DecompressStreamOpts(bytes.NewReader(comp.Bytes()), &dec)
 			if err != nil {
 				t.Fatalf("%s %v: decompress: %v", fc.name, algo, err)
 			}
@@ -100,53 +100,69 @@ func TestStreamRoundTrip(t *testing.T) {
 	}
 }
 
-// TestStreamMatchesParallel asserts the acceptance criterion: for the
-// same chunk boundaries, DecompressStream output is element-wise
-// identical to Decompress of CompressParallel output.
+// TestStreamMatchesParallel asserts that the in-memory entry point is
+// the stream writer: over the same raw bytes and options,
+// CompressParallelOpts output is byte-identical to CompressStreamOpts
+// output, and OpenStream serves rows from it that match the one-shot
+// and streaming decodes.
 func TestStreamMatchesParallel(t *testing.T) {
 	defer testutil.NoLeak(t)()
-	f := datagen.NYX(16, 11)[0] // 16^3
+	f := datagen.NYX(16, 11)[0] // 16^3, 256 elements per row
 	const rel = 1e-2
-	// 16 rows into 4 chunks of 4: chunkStarts(16,4) gives 4-row chunks,
-	// matching ChunkRows=4 exactly.
-	pbuf, err := CompressParallel(f.Data, f.Dims, rel, SZT, &ParallelOptions{Chunks: 4})
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name string
+		opts []StreamOption
+	}{
+		{"defaults", nil},
+		{"chunk-rows+workers", []StreamOption{WithChunkRows(4), WithWorkers(3)}},
+		{"parity+verify", []StreamOption{WithChunkRows(3), WithParity(2), WithVerifyOnWrite()}},
+		{"memory-budget", []StreamOption{WithMemoryBudget(64 << 10)}},
 	}
-	pdec, pdims, err := DecompressParallel(pbuf, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var comp bytes.Buffer
-	if _, err := CompressStream(bytes.NewReader(rawLE(f.Data)), &comp, f.Dims, rel, SZT,
-		&StreamOptions{ChunkRows: 4}); err != nil {
-		t.Fatal(err)
-	}
-	var dec bytes.Buffer
-	if _, err := DecompressStream(bytes.NewReader(comp.Bytes()), &dec); err != nil {
-		t.Fatal(err)
-	}
-	sdec := fromLE(dec.Bytes())
-	if len(sdec) != len(pdec) {
-		t.Fatalf("stream decoded %d values, parallel %d", len(sdec), len(pdec))
-	}
-	for i := range sdec {
-		if !testutil.SameFloat(sdec[i], pdec[i]) {
-			t.Fatalf("element %d differs: stream %g parallel %g", i, sdec[i], pdec[i])
-		}
-	}
-	// And the one-shot path agrees with the streaming path.
-	adec, adims, err := DecompressAny(comp.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(adims) != len(pdims) {
-		t.Fatalf("DecompressAny dims %v vs %v", adims, pdims)
-	}
-	for i := range adec {
-		if !testutil.SameFloat(adec[i], sdec[i]) {
-			t.Fatalf("DecompressAny element %d differs", i)
-		}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			par, err := CompressParallelOpts(f.Data, f.Dims, rel, SZT, tc.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var comp bytes.Buffer
+			if _, err := CompressStreamOpts(bytes.NewReader(rawLE(f.Data)), &comp, f.Dims, rel, SZT, tc.opts...); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(par, comp.Bytes()) {
+				t.Fatalf("CompressParallelOpts wrote %d bytes that differ from CompressStreamOpts' %d", len(par), comp.Len())
+			}
+			var dec bytes.Buffer
+			if _, err := DecompressStreamOpts(bytes.NewReader(par), &dec); err != nil {
+				t.Fatal(err)
+			}
+			sdec := fromLE(dec.Bytes())
+			adec, _, err := DecompressAny(par)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h, err := OpenStream(bytes.NewReader(par))
+			if err != nil {
+				t.Fatal(err)
+			}
+			stride := h.RowStride()
+			rows := make([]float64, 5*stride)
+			if err := h.ReadRows(rows, 6, 5); err != nil {
+				t.Fatal(err)
+			}
+			if len(sdec) != len(f.Data) || len(adec) != len(f.Data) {
+				t.Fatalf("decoded %d (stream) and %d (DecompressAny) values, want %d", len(sdec), len(adec), len(f.Data))
+			}
+			for i := range sdec {
+				if !testutil.SameFloat(adec[i], sdec[i]) {
+					t.Fatalf("DecompressAny element %d differs from the streaming decode", i)
+				}
+			}
+			for i := range rows {
+				if !testutil.SameFloat(rows[i], sdec[6*stride+i]) {
+					t.Fatalf("ReadRows element %d differs from the streaming decode", i)
+				}
+			}
+		})
 	}
 }
 
@@ -158,10 +174,10 @@ func TestStreamDeterministic(t *testing.T) {
 	f := datagen.NYX(16, 3)[0]
 	raw := rawLE(f.Data)
 	var a, b bytes.Buffer
-	if _, err := CompressStream(bytes.NewReader(raw), &a, f.Dims, 1e-2, SZT, &StreamOptions{Workers: 4, ChunkRows: 3}); err != nil {
+	if _, err := CompressStreamOpts(bytes.NewReader(raw), &a, f.Dims, 1e-2, SZT, WithWorkers(4), WithChunkRows(3)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := CompressStream(bytes.NewReader(raw), &b, f.Dims, 1e-2, SZT, &StreamOptions{Workers: 1, ChunkRows: 3}); err != nil {
+	if _, err := CompressStreamOpts(bytes.NewReader(raw), &b, f.Dims, 1e-2, SZT, WithWorkers(1), WithChunkRows(3)); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
@@ -179,23 +195,23 @@ func TestStreamInputErrors(t *testing.T) {
 	}
 	raw := rawLE(data)
 	var sink bytes.Buffer
-	if _, err := CompressStream(bytes.NewReader(raw[:100]), &sink, []int{64}, 1e-2, SZT, nil); err == nil {
+	if _, err := CompressStreamOpts(bytes.NewReader(raw[:100]), &sink, []int{64}, 1e-2, SZT); err == nil {
 		t.Error("short input: want error")
 	} else if !strings.Contains(err.Error(), "short stream input") {
 		t.Errorf("short input: unexpected error %v", err)
 	}
-	if _, err := CompressStream(bytes.NewReader(raw), &sink, []int{0}, 1e-2, SZT, nil); err == nil {
+	if _, err := CompressStreamOpts(bytes.NewReader(raw), &sink, []int{0}, 1e-2, SZT); err == nil {
 		t.Error("zero dim: want error")
 	}
-	if _, err := CompressStream(bytes.NewReader(raw), &sink, []int{64}, 1e-2, SZABS, nil); err == nil {
+	if _, err := CompressStreamOpts(bytes.NewReader(raw), &sink, []int{64}, 1e-2, SZABS); err == nil {
 		t.Error("absolute algo: want ErrNeedsAbsolute")
 	}
-	if _, err := CompressStream(bytes.NewReader(raw), &sink, []int{64}, 2.0, SZT, nil); err == nil {
+	if _, err := CompressStreamOpts(bytes.NewReader(raw), &sink, []int{64}, 2.0, SZT); err == nil {
 		t.Error("bad bound: want error")
 	}
 	// A failing writer must abort the pipeline with an error, not hang.
 	ew := &errAfterWriter{limit: 10}
-	if _, err := CompressStream(bytes.NewReader(raw), ew, []int{64}, 1e-2, SZT, &StreamOptions{ChunkRows: 4}); err == nil {
+	if _, err := CompressStreamOpts(bytes.NewReader(raw), ew, []int{64}, 1e-2, SZT, WithChunkRows(4)); err == nil {
 		t.Error("failing sink: want error")
 	}
 }
@@ -217,12 +233,12 @@ func TestStreamDecodeErrors(t *testing.T) {
 	defer testutil.NoLeak(t)()
 	f := datagen.NYX(8, 5)[0]
 	var comp bytes.Buffer
-	if _, err := CompressStream(bytes.NewReader(rawLE(f.Data)), &comp, f.Dims, 1e-2, SZT, &StreamOptions{ChunkRows: 2}); err != nil {
+	if _, err := CompressStreamOpts(bytes.NewReader(rawLE(f.Data)), &comp, f.Dims, 1e-2, SZT, WithChunkRows(2)); err != nil {
 		t.Fatal(err)
 	}
 	stream := comp.Bytes()
 	for cut := 0; cut < len(stream); cut += 7 {
-		if _, err := DecompressStream(bytes.NewReader(stream[:cut]), io.Discard); err == nil {
+		if _, err := DecompressStreamOpts(bytes.NewReader(stream[:cut]), io.Discard); err == nil {
 			t.Fatalf("truncation at %d decoded successfully", cut)
 		}
 	}
@@ -232,7 +248,7 @@ func TestStreamDecodeErrors(t *testing.T) {
 		mut := append([]byte(nil), stream...)
 		mut[pos] ^= 0x4
 		var out bytes.Buffer
-		if _, err := DecompressStream(bytes.NewReader(mut), &out); err == nil {
+		if _, err := DecompressStreamOpts(bytes.NewReader(mut), &out); err == nil {
 			if !bytes.Equal(out.Bytes(), rawLEOfDecoded(t, stream)) {
 				t.Fatalf("corruption at %d silently changed output", pos)
 			}
@@ -243,7 +259,7 @@ func TestStreamDecodeErrors(t *testing.T) {
 func rawLEOfDecoded(t *testing.T, stream []byte) []byte {
 	t.Helper()
 	var out bytes.Buffer
-	if _, err := DecompressStream(bytes.NewReader(stream), &out); err != nil {
+	if _, err := DecompressStreamOpts(bytes.NewReader(stream), &out); err != nil {
 		t.Fatal(err)
 	}
 	return out.Bytes()
@@ -320,8 +336,8 @@ func TestStreamBoundedMemory(t *testing.T) {
 
 	src := &synthReader{remaining: fieldBytes}
 	cw := &countingWriter{w: io.Discard}
-	st, err := CompressStream(src, cw, []int{rows, rowStride}, 1e-2, SZT,
-		&StreamOptions{Workers: workers, ChunkRows: chunkRows})
+	st, err := CompressStreamOpts(src, cw, []int{rows, rowStride}, 1e-2, SZT,
+		WithWorkers(workers), WithChunkRows(chunkRows))
 	close(stopSampling)
 	<-samplerDone
 	if err != nil {
@@ -362,7 +378,7 @@ func TestStreamStatsObservability(t *testing.T) {
 	defer testutil.NoLeak(t)()
 	f := datagen.NYX(16, 9)[0]
 	var comp bytes.Buffer
-	st, err := CompressStream(bytes.NewReader(rawLE(f.Data)), &comp, f.Dims, 1e-2, SZT, &StreamOptions{ChunkRows: 4})
+	st, err := CompressStreamOpts(bytes.NewReader(rawLE(f.Data)), &comp, f.Dims, 1e-2, SZT, WithChunkRows(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,7 +388,7 @@ func TestStreamStatsObservability(t *testing.T) {
 	if st.CodecWall <= 0 || st.MaxInFlight < 1 || st.BuffersAllocated < 1 {
 		t.Errorf("implausible stats: %+v", st)
 	}
-	dst, err := DecompressStream(bytes.NewReader(comp.Bytes()), io.Discard)
+	dst, err := DecompressStreamOpts(bytes.NewReader(comp.Bytes()), io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,14 +405,21 @@ func TestStreamStatsObservability(t *testing.T) {
 func TestArchiveHoldsStreamContainer(t *testing.T) {
 	f := datagen.NYX(8, 13)[0]
 	var comp bytes.Buffer
-	if _, err := CompressStream(bytes.NewReader(rawLE(f.Data)), &comp, f.Dims, 1e-2, ZFPT, &StreamOptions{ChunkRows: 3}); err != nil {
+	if _, err := CompressStreamOpts(bytes.NewReader(rawLE(f.Data)), &comp, f.Dims, 1e-2, ZFPT, WithChunkRows(3)); err != nil {
 		t.Fatal(err)
 	}
-	w := NewArchiveWriter()
+	var archive bytes.Buffer
+	w, err := NewArchiveStreamWriter(&archive)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := w.AddCompressed("density", comp.Bytes()); err != nil {
 		t.Fatal(err)
 	}
-	r, err := OpenArchive(w.Bytes())
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := OpenArchive(archive.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
