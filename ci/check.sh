@@ -2,10 +2,11 @@
 # ci/check.sh — the full local/CI gate for this repository.
 #
 # Runs, in order: formatting, go vet, the domain lint suite (cmd/pwrvet),
-# build, tests, a focused fault-injection/cancellation/salvage sweep
-# (these double as the goroutine-leak accounting pass), the race
-# detector, and a short fuzz smoke pass over the decode-path fuzz
-# targets. Everything here must pass before merging.
+# build, tests, the benchmark module's vet and self-tests, a focused
+# fault-injection/cancellation/salvage sweep (these double as the
+# goroutine-leak accounting pass), the race detector, and a short fuzz
+# smoke pass over the decode-path fuzz targets. Everything here must pass
+# before merging.
 #
 # Usage: ci/check.sh [fuzztime]
 #   fuzztime — per-target fuzz budget (default 5s; "0" skips fuzzing).
@@ -28,12 +29,12 @@ fi
 step "go vet"
 go vet ./...
 
-step "pwrvet (domain lint, baseline-gated)"
+step "pwrvet (domain lint)"
 PWRVET="$(mktemp -d)/pwrvet"
 trap 'rm -rf "$(dirname "${PWRVET}")"' EXIT
 go build -o "${PWRVET}" ./cmd/pwrvet
 lint_start="$(date +%s)"
-"${PWRVET}" -stats -baseline ci/pwrvet-baseline.json ./...
+"${PWRVET}" -stats ./...
 lint_end="$(date +%s)"
 lint_elapsed=$((lint_end - lint_start))
 echo "module-wide pass: ${lint_elapsed}s"
@@ -42,14 +43,15 @@ if (( lint_elapsed > 60 )); then
     exit 1
 fi
 
-step "pwrvet self-lint"
-"${PWRVET}" ./internal/lint/... ./cmd/pwrvet
-
 step "go build"
 go build ./...
 
 step "go test"
 go test -timeout 10m ./...
+
+# perfbench is its own module, so the root ./... above stops at its go.mod.
+step "perfbench (vet + checker self-tests)"
+(cd perfbench && go vet ./... && go test ./...)
 
 step "fault-injection sweep + goroutine accounting"
 go test -timeout 10m -run 'TestFault|TestDecodeLimits|TestSalvage|Parity|Verify|Ctx' -count=1 .

@@ -8,48 +8,6 @@ import (
 	"repro/internal/lint"
 )
 
-func TestBaselineKeyIgnoresPosition(t *testing.T) {
-	a := lint.Finding{Check: "wrapreach", File: "x.go", Line: 10, Col: 3, Message: "m"}
-	b := lint.Finding{Check: "wrapreach", File: "x.go", Line: 99, Col: 7, Message: "m"}
-	if baselineKey(a) != baselineKey(b) {
-		t.Error("baseline key changed with line/col, want position-independent match")
-	}
-	c := lint.Finding{Check: "wrapreach", File: "y.go", Line: 10, Col: 3, Message: "m"}
-	if baselineKey(a) == baselineKey(c) {
-		t.Error("baseline key collided across files")
-	}
-}
-
-func TestLoadBaselineSkipsCommentsAndBlanks(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "base.json")
-	content := "# header comment\n\n" +
-		`{"check":"limitreach","file":"a.go","line":3,"col":1,"message":"msg"}` + "\n"
-	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	accepted, err := loadBaseline(path)
-	if err != nil {
-		t.Fatalf("loadBaseline: %v", err)
-	}
-	if len(accepted) != 1 {
-		t.Fatalf("got %d accepted entries, want 1", len(accepted))
-	}
-	want := baselineKey(lint.Finding{Check: "limitreach", File: "a.go", Message: "msg"})
-	if !accepted[want] {
-		t.Error("baseline entry not matchable by check+file+message key")
-	}
-}
-
-func TestLoadBaselineRejectsMalformedLine(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "base.json")
-	if err := os.WriteFile(path, []byte("not json\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := loadBaseline(path); err == nil {
-		t.Error("loadBaseline accepted a malformed line, want error")
-	}
-}
-
 func TestFilterDirs(t *testing.T) {
 	root := t.TempDir()
 	sub := filepath.Join(root, "internal", "lint")

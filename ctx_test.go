@@ -145,12 +145,12 @@ func TestStreamCtxNilBehavesAsBackground(t *testing.T) {
 		data[i] = float64(i + 1)
 	}
 	var comp bytes.Buffer
-	//lint:allow all nil ctx is the documented convenience form under test
+	// nil ctx is the documented convenience form under test
 	if _, err := CompressStreamOpts(bytes.NewReader(rawLE(data)), &comp, []int{64}, 1e-2, SZT, WithContext(nil)); err != nil {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
-	//lint:allow all nil ctx is the documented convenience form under test
+	// nil ctx is the documented convenience form under test
 	if _, err := DecompressStreamOpts(bytes.NewReader(comp.Bytes()), &out, WithContext(nil)); err != nil {
 		t.Fatal(err)
 	}

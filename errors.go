@@ -52,9 +52,9 @@ var (
 var ErrVerifyFailed = fmt.Errorf("repro: verify-after-encode failed")
 
 // recoverDecode is the panic boundary at every exported decode entry
-// point: a residual codec panic on hostile input (anything the
-// pwrvet nopanic audit and the fuzz corpus have not pinned down yet)
-// surfaces as ErrCorrupted instead of crossing the API edge. Use as
+// point: a residual codec panic on hostile input (anything the fault
+// sweeps and the fuzz corpus have not pinned down yet) surfaces as
+// ErrCorrupted instead of crossing the API edge. Use as
 //
 //	defer recoverDecode(&err)
 //

@@ -42,7 +42,7 @@ func main() {
 
 	maxRel := 0.0
 	for i := range data {
-		if data[i] == 0 { //lint:allow floatcmp exact zero skip mirrors the bound definition
+		if data[i] == 0 { // exact zero skip mirrors the bound definition
 			continue
 		}
 		if r := math.Abs(dec[i]-data[i]) / math.Abs(data[i]); r > maxRel {

@@ -108,9 +108,9 @@ func FuzzOpenArchive(f *testing.F) {
 
 // FuzzHeaderMutation flips bytes of known-good streams. The input tuple
 // (stream, position, xor mask) lets the fuzzer steer mutations into the
-// exact header fields the decodebound taint analysis tracks: container
-// rank and dims, Huffman table alphabet/length fields, window and block
-// sizes, and the payload-length varints (where a continuation-bit flip
+// exact header fields that size the decode: container rank and dims,
+// Huffman table alphabet/length fields, window and block sizes, and the
+// payload-length varints (where a continuation-bit flip
 // manufactures a near-2^64 length). Every decoder must reject corruption
 // with an error or decode to a consistent shape — no panics and no
 // unguarded attacker-sized allocations.
@@ -248,9 +248,9 @@ func parityFuzzSeeds() [][]byte {
 // FuzzDecompressStream asserts the streaming decoder never panics,
 // never hangs its pipeline, and never allocates ahead of the bytes it
 // has actually received; truncation and corruption of frame headers
-// must surface as errors (the decodebound taint discipline, extended to
-// the io.Reader path). On success the emitted byte count must agree
-// with the container header's geometry.
+// must surface as errors (the guard-before-use discipline of the slice
+// decoders, extended to the io.Reader path). On success the emitted byte
+// count must agree with the container header's geometry.
 func FuzzDecompressStream(f *testing.F) {
 	if stream := fuzzStreamContainer(3); stream != nil {
 		f.Add(stream)

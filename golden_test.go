@@ -116,7 +116,7 @@ func readManifest(t *testing.T) map[string]uint32 {
 	if err != nil {
 		t.Fatalf("golden manifest missing (run with -update-golden to create): %v", err)
 	}
-	defer f.Close() //lint:allow errdrop read-only file; scanner errors are checked
+	defer f.Close() // read-only file; scanner errors are checked
 	out := map[string]uint32{}
 	sc := bufio.NewScanner(f)
 	for sc.Scan() {

@@ -61,7 +61,7 @@ func (w *Writer) WriteBits(v uint64, width uint) {
 	if width > 64 {
 		// Invariant: widths are compile-time constants or coder-derived
 		// values ≤ 64; encode-side only, never reached by stream content.
-		panic(fmt.Sprintf("bitio: WriteBits width %d > 64", width)) //lint:allow nopanic caller invariant, not input-driven
+		panic(fmt.Sprintf("bitio: WriteBits width %d > 64", width)) // caller invariant, not input-driven
 	}
 	if width == 0 {
 		return
@@ -170,7 +170,7 @@ func (r *Reader) ReadBits(width uint) (uint64, error) {
 		// Invariant: decoders request widths from compile-time constants or
 		// validated code lengths (≤ huffman.MaxCodeLen = 58); a corrupt
 		// stream can change *which* bits are read, never the width bound.
-		panic(fmt.Sprintf("bitio: ReadBits width %d > 64", width)) //lint:allow nopanic caller invariant, not input-driven
+		panic(fmt.Sprintf("bitio: ReadBits width %d > 64", width)) // caller invariant, not input-driven
 	}
 	if width == 0 {
 		return 0, nil
@@ -215,7 +215,7 @@ func (r *Reader) PeekBits(width uint) (v uint64, got uint) {
 	if width > 56 {
 		// Invariant: the only peeking decoder is the Huffman LUT, whose
 		// width is capped at lutMaxBits = 12; not reachable from input.
-		panic(fmt.Sprintf("bitio: PeekBits width %d > 56", width)) //lint:allow nopanic caller invariant, not input-driven
+		panic(fmt.Sprintf("bitio: PeekBits width %d > 56", width)) // caller invariant, not input-driven
 	}
 	if r.n < width {
 		r.fill()
@@ -240,7 +240,7 @@ func (r *Reader) Skip(count uint) {
 	if count > r.n {
 		// Invariant: callers only Skip counts that the immediately preceding
 		// PeekBits reported available (r.n can only grow in between).
-		panic("bitio: Skip beyond peeked bits") //lint:allow nopanic caller invariant, not input-driven
+		panic("bitio: Skip beyond peeked bits") // caller invariant, not input-driven
 	}
 	r.n -= count
 	r.read += uint64(count)

@@ -66,9 +66,9 @@ func (b Base) String() string {
 func (b Base) log(x float64) float64 {
 	switch b {
 	case BaseE:
-		return math.Log(x) //lint:allow logbase base-study dispatch (Tables II/III)
+		return math.Log(x) // base-study dispatch (Tables II/III)
 	case Base10:
-		return math.Log10(x) //lint:allow logbase base-study dispatch (Tables II/III)
+		return math.Log10(x) // base-study dispatch (Tables II/III)
 	default:
 		return math.Log2(x)
 	}
@@ -77,9 +77,9 @@ func (b Base) log(x float64) float64 {
 func (b Base) exp(x float64) float64 {
 	switch b {
 	case BaseE:
-		return math.Exp(x) //lint:allow logbase base-study dispatch (Tables II/III)
+		return math.Exp(x) // base-study dispatch (Tables II/III)
 	case Base10:
-		return math.Pow(10, x) //lint:allow logbase base-study dispatch (Tables II/III)
+		return math.Pow(10, x) // base-study dispatch (Tables II/III)
 	default:
 		return math.Exp2(x)
 	}
@@ -223,7 +223,7 @@ func Forward(data []float64, relBound float64, opts *Options) (*Transformed, err
 	// path). This directive is the audited waiver for every sink this
 	// field reaches; the ablation path is covered by the error-bound
 	// harness asserting the guarantee only when the guard is on.
-	//lint:allow boundconst tightened two lines up unless DisableRoundoffGuard, which trades the guarantee away knowingly
+	// tightened two lines up unless DisableRoundoffGuard, which trades the guarantee away knowingly
 	tr.AbsBound = ba
 
 	sentinel := base.sentinelValue()

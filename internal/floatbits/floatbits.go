@@ -13,14 +13,14 @@ import (
 // exact zero test the zero-sentinel logic depends on: a value is either
 // encoded as a sentinel or transformed, never approximately compared.
 func IsZero(v float64) bool {
-	return v == 0 //lint:allow floatcmp exact zero test is this helper's contract
+	return v == 0 // exact zero test is this helper's contract
 }
 
 // Equal reports whether a and b are exactly the same float64 value
 // (IEEE-754 ==, so NaN != NaN and -0 == +0). Use it where bit-for-bit
 // agreement after a round trip is the requirement.
 func Equal(a, b float64) bool {
-	return a == b //lint:allow floatcmp exact equality is this helper's contract
+	return a == b // exact equality is this helper's contract
 }
 
 // ToOrderedInt maps a float64 to an int64 such that the integer order

@@ -170,7 +170,7 @@ func limitDepths(lengths []uint8, maxLen uint8) {
 			// Kraft sum always becomes feasible (used ≤ count ≪ 2^58), so a
 			// demotable symbol exists; encode-side only — ParseTable
 			// validates Kraft on decode instead of repairing.
-			panic("huffman: cannot satisfy Kraft inequality") //lint:allow nopanic caller invariant, not input-driven
+			panic("huffman: cannot satisfy Kraft inequality") // caller invariant, not input-driven
 		}
 		used -= uint64(1) << (maxLen - lengths[best])
 		lengths[best]++

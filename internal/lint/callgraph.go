@@ -2,7 +2,6 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"strings"
 )
@@ -15,11 +14,6 @@ import (
 type callGraph struct {
 	// edges maps caller ID -> callee IDs.
 	edges map[string][]string
-	// panics maps the ID of each function containing a panic(...) call to
-	// the positions of those calls.
-	panics map[string][]token.Pos
-	// decls maps function ID -> declaration position (for reporting).
-	decls map[string]token.Pos
 }
 
 // Graph builds (once) and returns the module's call graph.
@@ -32,11 +26,7 @@ func (m *Module) Graph() *callGraph {
 func funcID(fn *types.Func) string { return fn.FullName() }
 
 func buildGraph(m *Module) *callGraph {
-	g := &callGraph{
-		edges:  map[string][]string{},
-		panics: map[string][]token.Pos{},
-		decls:  map[string]token.Pos{},
-	}
+	g := &callGraph{edges: map[string][]string{}}
 
 	// Collect every named type declared in the module, for interface-call
 	// expansion.
@@ -84,7 +74,6 @@ func buildGraph(m *Module) *callGraph {
 					continue
 				}
 				id := funcID(def)
-				g.decls[id] = fd.Name.Pos()
 				ast.Inspect(fd.Body, func(n ast.Node) bool {
 					call, ok := n.(*ast.CallExpr)
 					if !ok {
@@ -92,12 +81,6 @@ func buildGraph(m *Module) *callGraph {
 					}
 					switch fun := call.Fun.(type) {
 					case *ast.Ident:
-						if fun.Name == "panic" {
-							if _, isBuiltin := pkg.Info.Uses[fun].(*types.Builtin); isBuiltin {
-								g.panics[id] = append(g.panics[id], call.Pos())
-								return true
-							}
-						}
 						if callee, ok := pkg.Info.Uses[fun].(*types.Func); ok {
 							g.edges[id] = append(g.edges[id], funcID(callee))
 						}

@@ -52,8 +52,8 @@ func viaValue(c *counter) {
 }
 
 // An interface-method call expands to every module type implementing the
-// interface — the deliberate over-approximation nopanic and the summary
-// layer rely on.
+// interface — the deliberate over-approximation benchclock's clock
+// reachability and the summary layer's entry reachability rely on.
 func TestGraphInterfaceDispatchOverApproximates(t *testing.T) {
 	_, g := graphOf(t, `package fixture
 

@@ -6,29 +6,24 @@ import (
 	"go/types"
 )
 
-// This file is the dataflow engine behind the flow-sensitive checks
-// (intnarrow, decodebound, goroleak, allochot): a per-function
-// control-flow graph at statement granularity over go/ast, plus two
-// generic solvers — an iterative forward set analysis (may or must) and
-// reaching definitions. Everything is intraprocedural and deliberately
-// conservative: function literals are opaque to the graph (their bodies
-// are not split into blocks), goto is approximated as "may reach exit",
-// and a switch fallthrough ends its case at the join like a normal case.
+// This file is the dataflow engine behind allochot and the summary layer
+// (summary.go): a per-function control-flow graph at statement
+// granularity over go/ast, plus reaching definitions. Everything is
+// intraprocedural and deliberately conservative: function literals are
+// opaque to the graph (their bodies are not split into blocks), goto is
+// approximated as "may reach exit", and a switch fallthrough ends its
+// case at the join like a normal case.
 
-// guardCond wraps the condition of an if statement, a switch tag, or a
-// case expression. Its presence in a block means execution of the block's
-// successors is conditional on the expression; the taint analysis treats
-// every variable the guard mentions as validated on both branches.
+// guardCond wraps the condition of an if or for statement, a switch tag,
+// or a case expression. Its presence in a block means execution of the
+// block's successors is conditional on the expression; the taint
+// analysis treats every variable the guard mentions as validated on both
+// branches.
 type guardCond struct{ ast.Expr }
 
-// loopCond wraps a for-statement condition. Unlike guardCond it is a
-// taint sink first (decodebound flags unvalidated loop bounds) and a
-// sanitizer second.
-type loopCond struct{ ast.Expr }
-
 // cfgBlock is a basic block: a straight-line sequence of statement-level
-// nodes. Besides ordinary ast.Stmt values a block can hold guardCond and
-// loopCond wrappers and, for range loops, the *ast.RangeStmt itself
+// nodes. Besides ordinary ast.Stmt values a block can hold guardCond
+// wrappers and, for range loops, the *ast.RangeStmt itself
 // (meaning "evaluate the range operands and bind key/value" — its Body is
 // in successor blocks, so walkers must not descend into it).
 type cfgBlock struct {
@@ -151,7 +146,7 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 		header := b.newBlockAt(b.depth + 1)
 		b.edge(b.cur, header)
 		if s.Cond != nil {
-			header.nodes = append(header.nodes, loopCond{s.Cond})
+			header.nodes = append(header.nodes, guardCond{s.Cond})
 		}
 		after := b.newBlockAt(b.depth)
 		latch := b.newBlockAt(b.depth + 1)
@@ -326,87 +321,6 @@ func (g *cfg) reversePostorder() []*cfgBlock {
 		order[i], order[j] = order[j], order[i]
 	}
 	return order
-}
-
-// --- forward set analysis ---------------------------------------------
-
-// objSet is the lattice element of the simple solvers: a set of variables
-// (tainted variables, available facts, ...).
-type objSet map[types.Object]bool
-
-func (s objSet) clone() objSet {
-	c := make(objSet, len(s))
-	for o := range s {
-		c[o] = true
-	}
-	return c
-}
-
-func (s objSet) equal(t objSet) bool {
-	if len(s) != len(t) {
-		return false
-	}
-	for o := range s {
-		if !t[o] {
-			return false
-		}
-	}
-	return true
-}
-
-// forwardFlow runs an iterative forward dataflow analysis to fixpoint and
-// returns each reachable block's entry state. boundary is the entry
-// block's state. If union is true the join is set-union (may-analysis);
-// otherwise it is intersection over already-computed predecessors
-// (optimistic must-analysis). transfer receives a private copy of the
-// entry state and returns the exit state; it must be monotone or the
-// iteration may not terminate.
-func (g *cfg) forwardFlow(boundary objSet, union bool, transfer func(b *cfgBlock, in objSet) objSet) map[*cfgBlock]objSet {
-	rpo := g.reversePostorder()
-	in := map[*cfgBlock]objSet{}
-	out := map[*cfgBlock]objSet{}
-	for changed := true; changed; {
-		changed = false
-		for _, blk := range rpo {
-			var s objSet
-			if blk == g.entry {
-				s = boundary.clone()
-			} else {
-				first := true
-				for _, p := range blk.preds {
-					po, ok := out[p]
-					if !ok {
-						continue
-					}
-					if first {
-						s = po.clone()
-						first = false
-					} else if union {
-						for o := range po {
-							s[o] = true
-						}
-					} else {
-						for o := range s {
-							if !po[o] {
-								delete(s, o)
-							}
-						}
-					}
-				}
-				if s == nil {
-					s = objSet{}
-				}
-			}
-			prev, seen := in[blk]
-			if seen && prev.equal(s) {
-				continue
-			}
-			in[blk] = s
-			out[blk] = transfer(blk, s.clone())
-			changed = true
-		}
-	}
-	return in
 }
 
 // --- reaching definitions ---------------------------------------------
@@ -648,24 +562,15 @@ func inspectNoFuncLit(n ast.Node, fn func(ast.Node) bool) {
 	})
 }
 
-// unwrapCond strips the guardCond/loopCond wrappers so a node can be
-// walked with ast.Inspect (which rejects foreign node types).
-func unwrapCond(n ast.Node) ast.Node {
-	switch n := n.(type) {
-	case guardCond:
-		return n.Expr
-	case loopCond:
-		return n.Expr
-	}
-	return n
-}
-
 // inspectEvaluated walks the expressions node n itself evaluates:
-// guard/loop condition wrappers are unwrapped, a stored *ast.RangeStmt
-// contributes only its range operand (its body lives in successor
-// blocks), and function literal bodies are skipped.
+// guardCond wrappers are unwrapped (ast.Inspect rejects foreign node
+// types), a stored *ast.RangeStmt contributes only its range operand (its
+// body lives in successor blocks), and function literal bodies are
+// skipped.
 func inspectEvaluated(n ast.Node, fn func(ast.Node) bool) {
-	n = unwrapCond(n)
+	if c, ok := n.(guardCond); ok {
+		n = c.Expr
+	}
 	if r, ok := n.(*ast.RangeStmt); ok {
 		inspectNoFuncLit(r.X, fn)
 		return

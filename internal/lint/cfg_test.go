@@ -141,56 +141,6 @@ func Branch(c bool) int {
 	}
 }
 
-func TestForwardFlowMayVsMust(t *testing.T) {
-	pkg, fd := loadFunc(t, `package fixture
-
-func Branch(c bool) {
-	if c {
-		println(1)
-	} else {
-		println(2)
-	}
-	println(3)
-}
-`, "Branch")
-	g := buildCFG(fd.Body)
-	target := boundaryObjects(pkg.Info, fd)[0] // c: any object works as a fact token
-
-	// The transfer establishes the fact only in the block that calls
-	// println(1) — i.e. on the then-branch.
-	marks := func(b *cfgBlock) bool {
-		for _, n := range b.nodes {
-			es, ok := n.(*ast.ExprStmt)
-			if !ok {
-				continue
-			}
-			call, ok := es.X.(*ast.CallExpr)
-			if !ok || len(call.Args) != 1 {
-				continue
-			}
-			if lit, ok := call.Args[0].(*ast.BasicLit); ok && lit.Value == "1" {
-				return true
-			}
-		}
-		return false
-	}
-	transfer := func(b *cfgBlock, s objSet) objSet {
-		if marks(b) {
-			s[target] = true
-		}
-		return s
-	}
-
-	may := g.forwardFlow(objSet{}, true, transfer)
-	must := g.forwardFlow(objSet{}, false, transfer)
-	if !may[g.exit][target] {
-		t.Errorf("may-analysis should carry a fact established on one branch to exit")
-	}
-	if must[g.exit][target] {
-		t.Errorf("must-analysis must drop a fact established on only one branch")
-	}
-}
-
 func TestReachingDefsMergeAndBoundary(t *testing.T) {
 	pkg, fd := loadFunc(t, `package fixture
 

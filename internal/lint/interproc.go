@@ -11,8 +11,7 @@ import (
 )
 
 // This file drives the summary analysis (summary.go) to a module-wide
-// fixed point and exposes the result to the interprocedural checks
-// (limitreach, wrapreach).
+// fixed point and exposes the result to wrapreach.
 //
 // The propagation is bottom-up over the call graph: functions are first
 // analyzed in reverse topological order (callees before callers) so each
@@ -44,10 +43,6 @@ type ipResult struct {
 	entries map[string]uint64
 	// reachable marks every function reachable from some entry.
 	reachable map[string]bool
-	// fields is the module-global field table: a field key maps to
-	// ipSeedBit when some entry-reachable function stores decode-derived
-	// (or entry-parameter) data into it.
-	fields *fieldFacts
 }
 
 // interproc builds (once) and returns the module's interprocedural
@@ -61,11 +56,7 @@ func buildInterproc(m *Module) *ipResult {
 	units := ipUnits(m)
 	g := m.Graph()
 
-	// Entries and entry-reachability are derived from the declarations
-	// and the call graph alone, so they are computed before the fixpoint:
-	// the field-fact globalization below needs to know, per writer,
-	// whether a stored mask is attacker-equivalent.
-	r := &ipResult{units: units, entries: map[string]uint64{}, fields: newFieldFacts()}
+	r := &ipResult{units: units, entries: map[string]uint64{}}
 	for id, u := range units {
 		name := u.decl.Name.Name
 		if !ipEntryRe.MatchString(name) || !ast.IsExported(name) {
@@ -113,47 +104,6 @@ func buildInterproc(m *Module) *ipResult {
 			queue = append(queue, id)
 		}
 	}
-	// enqueueReaders re-queues every summarized function whose analysis
-	// consulted fid's fact, now that the fact has grown. Functions not
-	// yet analyzed will read the grown fact on their first pass.
-	enqueueReaders := func(fid string) {
-		ids := make([]string, 0, len(sums))
-		for id := range sums {
-			ids = append(ids, id)
-		}
-		sort.Strings(ids)
-		for _, id := range ids {
-			if s := sums[id]; s != nil && s.fieldReads[fid] {
-				enqueue(id)
-			}
-		}
-	}
-	// globalize reduces one function's field writes to module facts: a
-	// store is attacker-equivalent (seed) when it carries decode-read
-	// taint in an entry-reachable function, or one of the writer's own
-	// untrusted entry parameters.
-	globalize := func(id string, sum *ipSummary) {
-		emask := r.entries[id]
-		fids := make([]string, 0, len(sum.fieldWrites))
-		for fid := range sum.fieldWrites {
-			fids = append(fids, fid)
-		}
-		sort.Strings(fids)
-		for _, fid := range fids {
-			fm := sum.fieldWrites[fid]
-			var gl uint64
-			if fm&ipSeedBit != 0 && r.reachable[id] {
-				gl |= ipSeedBit
-			}
-			if fm&emask != 0 {
-				gl |= ipSeedBit
-			}
-			if gl != 0 && r.fields.add(fid, gl, nil) {
-				enqueueReaders(fid)
-			}
-		}
-	}
-
 	for _, id := range bottomUpOrder(g, units) {
 		enqueue(id)
 	}
@@ -162,10 +112,9 @@ func buildInterproc(m *Module) *ipResult {
 		id := queue[0]
 		queue = queue[1:]
 		inQueue[id] = false
-		ns := ipAnalyze(units[id], sums, r.fields)
+		ns := ipAnalyze(units[id], sums)
 		changed := !ipEqual(sums[id], ns)
 		sums[id] = ns
-		globalize(id, ns)
 		if changed {
 			for _, c := range callers[id] {
 				enqueue(c)
@@ -226,15 +175,11 @@ func untrustedParamType(t types.Type) bool {
 type ipHit struct {
 	sink  token.Pos
 	chain []*ipSite // entry/top function first, sink last
-	seed  bool      // reached via decode-read taint (vs an entry parameter)
 }
 
-// hits extracts the module's findings of one kind, deduplicated by sink
-// position (keeping the longest witness chain). When directSeed is false,
-// single-function seed-only events are dropped — those are intraprocedural
-// facts already owned by decodebound — except when the flow crossed a
-// struct field or lives inside a closure, which decodebound cannot see.
-func (r *ipResult) hits(kind ipKind, directSeed bool) []ipHit {
+// hits extracts the module's findings, deduplicated by sink position
+// (keeping the longest witness chain).
+func (r *ipResult) hits() []ipHit {
 	ids := make([]string, 0, len(r.units))
 	for id := range r.units {
 		ids = append(ids, id)
@@ -247,11 +192,7 @@ func (r *ipResult) hits(kind ipKind, directSeed bool) []ipHit {
 		if sum == nil {
 			continue
 		}
-		entryMask, isEntry := r.entries[id]
-		var tEff uint64
-		if isEntry {
-			tEff |= entryMask
-		}
+		tEff := r.entries[id]
 		if r.reachable[id] {
 			tEff |= ipSeedBit
 		}
@@ -259,19 +200,14 @@ func (r *ipResult) hits(kind ipKind, directSeed bool) []ipHit {
 			continue
 		}
 		for _, e := range sum.events {
-			if e.kind != kind || e.mask&tEff == 0 {
+			if e.mask&tEff == 0 {
 				continue
 			}
 			var chain []*ipSite
 			for s := e.site; s != nil; s = s.next {
 				chain = append(chain, s)
 			}
-			seedOnly := e.mask&tEff&^ipSeedBit == 0
-			if seedOnly && len(chain) == 1 && !directSeed &&
-				!e.closure && e.mask&ipFieldBit == 0 {
-				continue
-			}
-			h := ipHit{sink: chain[len(chain)-1].pos, chain: chain, seed: seedOnly}
+			h := ipHit{sink: chain[len(chain)-1].pos, chain: chain}
 			if prev, ok := byPos[h.sink]; !ok || len(h.chain) > len(prev.chain) {
 				byPos[h.sink] = h
 			}
@@ -283,17 +219,6 @@ func (r *ipResult) hits(kind ipKind, directSeed bool) []ipHit {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].sink < out[j].sink })
 	return out
-}
-
-// decorate attaches the witness chain to a finding: the rendered hops
-// for display, and the hop positions so a //lint:allow directive at any
-// chain site (the seed store, an intermediate call, the sink) suppresses
-// the finding.
-func (h ipHit) decorate(f *Finding, m *Module) {
-	f.Chain = h.chainStrings(m)
-	for _, s := range h.chain {
-		f.ChainPos = append(f.ChainPos, m.Fset.Position(s.pos))
-	}
 }
 
 // chainStrings renders the witness chain for a Finding, one hop per

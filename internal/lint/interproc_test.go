@@ -15,120 +15,6 @@ func wantChain(t *testing.T, findings []Finding, n int) {
 	}
 }
 
-// --- limitreach ----------------------------------------------------------
-
-// The acceptance fixture: an unguarded decode-side make([]T, n) two calls
-// below the exported entry, reported with the full call chain.
-func TestLimitreachUnguardedMakeTwoCallsDown(t *testing.T) {
-	findings, _ := runCheck(t, "limitreach", map[string]string{
-		"a.go": `package fixture
-
-func DecompressStream(buf []byte) []float64 {
-	n := int(buf[0])
-	return readBody(buf, n)
-}
-
-func readBody(buf []byte, n int) []float64 {
-	return grow(n)
-}
-
-func grow(n int) []float64 {
-	return make([]float64, n)
-}
-`,
-	})
-	wantOne(t, findings, 13, "fixture.DecompressStream → fixture.readBody → fixture.grow")
-	wantChain(t, findings, 3)
-}
-
-func TestLimitreachAppendGrowthOneCallDown(t *testing.T) {
-	findings, _ := runCheck(t, "limitreach", map[string]string{
-		"a.go": `package fixture
-
-func DecodeFrames(buf []byte) []byte {
-	return gather(nil, buf)
-}
-
-func gather(dst, src []byte) []byte {
-	return append(dst, src...)
-}
-`,
-	})
-	wantOne(t, findings, 8, "fixture.DecodeFrames → fixture.gather")
-}
-
-// A named guard call (the DecodeLimits convention) sanitizes the size for
-// the rest of the entry, including the callee allocation.
-func TestLimitreachGuardCallClean(t *testing.T) {
-	findings, suppressed := runCheck(t, "limitreach", map[string]string{
-		"a.go": `package fixture
-
-func DecompressChecked(buf []byte) []float64 {
-	n := int(buf[0])
-	err := checkElements(n)
-	if err != nil {
-		return nil
-	}
-	return grow(n)
-}
-
-func grow(n int) []float64 {
-	return make([]float64, n)
-}
-
-type limitErr string
-
-func (e limitErr) Error() string { return string(e) }
-
-func checkElements(n int) error {
-	if n > 1024 {
-		return limitErr("too large")
-	}
-	return nil
-}
-`,
-	})
-	wantClean(t, findings, suppressed, 0)
-}
-
-// An ordinary range guard against the remaining payload also sanitizes.
-func TestLimitreachRangeGuardClean(t *testing.T) {
-	findings, suppressed := runCheck(t, "limitreach", map[string]string{
-		"a.go": `package fixture
-
-func DecompressRanged(buf []byte) []float64 {
-	n := int(buf[0])
-	if n > len(buf)-1 {
-		return nil
-	}
-	return grow(n)
-}
-
-func grow(n int) []float64 {
-	return make([]float64, n)
-}
-`,
-	})
-	wantClean(t, findings, suppressed, 0)
-}
-
-// Taint in a function no decode entry reaches is not limitreach's business.
-func TestLimitreachUnreachableFromEntriesClean(t *testing.T) {
-	findings, suppressed := runCheck(t, "limitreach", map[string]string{
-		"a.go": `package fixture
-
-func helper(buf []byte) []float64 {
-	return grow(int(buf[0]))
-}
-
-func grow(n int) []float64 {
-	return make([]float64, n)
-}
-`,
-	})
-	wantClean(t, findings, suppressed, 0)
-}
-
 // --- wrapreach -----------------------------------------------------------
 
 // A callee that narrows a width the caller never validated: the conversion
@@ -159,19 +45,35 @@ func toInt(v uint64) int {
 	wantChain(t, findings, 2)
 }
 
+// The shape of core.ParseHeader before fcc5120: int(blobLen) wraps
+// negative for blobLen >= 2^63, so the bounds guard itself passes and the
+// slice below it reads out of range.
 func TestWrapreachDirectNarrowingInEntry(t *testing.T) {
 	findings, _ := runCheck(t, "wrapreach", map[string]string{
 		"a.go": `package fixture
 
-func ParseCount(buf []byte) int {
-	v := uint64(buf[0]) | uint64(buf[1])<<8
-	return int(v)
+import (
+	"encoding/binary"
+	"errors"
+)
+
+var errCorrupt = errors.New("corrupt")
+
+func ParseHeader(buf []byte, off int) ([]byte, error) {
+	blobLen, k := binary.Uvarint(buf[off:])
+	if k == 0 || int(blobLen) > len(buf)-off-k {
+		return nil, errCorrupt
+	}
+	off += k
+	return buf[off : off+int(blobLen)], nil
 }
 `,
 	})
-	wantOne(t, findings, 5, "narrowing conversion of unvalidated decoder input")
+	wantOne(t, findings, 12, "narrowing conversion of unvalidated decoder input")
 }
 
+// A range guard against a fixed cap sanitizes the value for the rest of
+// the function.
 func TestWrapreachRangeGuardClean(t *testing.T) {
 	findings, suppressed := runCheck(t, "wrapreach", map[string]string{
 		"a.go": `package fixture
@@ -228,200 +130,55 @@ func narrow(v uint64) int {
 	wantClean(t, findings, suppressed, 0)
 }
 
-// --- boundconst ----------------------------------------------------------
+// --- guard calls and entry reachability ---------------------------------
+//
+// These two rules of the summary engine were first pinned by the retired
+// limitreach check; wrapreach relies on the same rules, so the fixtures
+// keep their names and now exercise them through wrapreach.
 
-func TestBoundconstRawLogBoundAtSink(t *testing.T) {
-	findings, _ := runCheck(t, "boundconst", map[string]string{
+// A named guard call (the DecodeLimits convention) sanitizes the value for
+// the rest of the entry, including the callee's narrowing.
+func TestLimitreachGuardCallClean(t *testing.T) {
+	findings, suppressed := runCheck(t, "wrapreach", map[string]string{
 		"a.go": `package fixture
 
-func Quantize(vals []float64, bound float64) {
-	_ = vals
-	_ = bound
-}
+import "errors"
 
-func log2(x float64) float64 {
-	return x
-}
-
-func Setup(b float64) {
-	m := log2(1 + b)
-	Quantize(nil, m)
-}
-`,
-	})
-	wantOne(t, findings, 14, "raw log2(1+b) bound reaches a quantizer sink")
-}
-
-// A helper forwarding its parameter into the quantizer makes every caller
-// passing a raw bound a finding, with the call chain.
-func TestBoundconstRawBoundThroughHelper(t *testing.T) {
-	findings, _ := runCheck(t, "boundconst", map[string]string{
-		"a.go": `package fixture
-
-func Quantize(vals []float64, bound float64) {
-	_ = vals
-	_ = bound
-}
-
-func log2(x float64) float64 {
-	return x
-}
-
-func apply(tol float64) {
-	Quantize(nil, tol)
-}
-
-func SetupVia(b float64) {
-	apply(log2(1 + b))
-}
-`,
-	})
-	wantOne(t, findings, 13, "fixture.SetupVia → fixture.apply")
-	wantChain(t, findings, 2)
-}
-
-// Subtracting the round-off margin (or scaling by a sub-unit constant)
-// tightens the bound: both Lemma-2 shapes are clean.
-func TestBoundconstTightenedClean(t *testing.T) {
-	findings, suppressed := runCheck(t, "boundconst", map[string]string{
-		"a.go": `package fixture
-
-func Quantize(vals []float64, bound float64) {
-	_ = vals
-	_ = bound
-}
-
-func log2(x float64) float64 {
-	return x
-}
-
-func SetupTight(b float64) {
-	m := log2(1+b) - 0.001
-	Quantize(nil, m)
-}
-
-func SetupScaled(b float64) {
-	Quantize(nil, log2(1+b)*0.5)
-}
-`,
-	})
-	wantClean(t, findings, suppressed, 0)
-}
-
-// A value raw on one path and tightened on another joins to both classes
-// and is not reported — the DisableRoundoffGuard ablation pattern.
-func TestBoundconstAblationJoinClean(t *testing.T) {
-	findings, suppressed := runCheck(t, "boundconst", map[string]string{
-		"a.go": `package fixture
-
-func Quantize(vals []float64, bound float64) {
-	_ = vals
-	_ = bound
-}
-
-func log2(x float64) float64 {
-	return x
-}
-
-func SetupAblate(b float64, tighten bool) {
-	m := log2(1 + b)
-	if tighten {
-		m = m - 0.001
+func DecompressChecked(buf []byte) int {
+	v := uint64(buf[0])<<32 | uint64(buf[1])
+	err := checkElements(v)
+	if err != nil {
+		return 0
 	}
-	Quantize(nil, m)
+	return narrow(v)
+}
+
+func narrow(v uint64) int {
+	return int(v)
+}
+
+func checkElements(n uint64) error {
+	if n > 1<<20 {
+		return errors.New("too many elements")
+	}
+	return nil
 }
 `,
 	})
 	wantClean(t, findings, suppressed, 0)
 }
 
-// --- purity --------------------------------------------------------------
-
-func TestPurityGoroutineCalleeWritesGlobal(t *testing.T) {
-	findings, _ := runCheck(t, "purity", map[string]string{
+// Taint in a decode helper that no decode entry reaches is not reported.
+func TestLimitreachUnreachableFromEntriesClean(t *testing.T) {
+	findings, suppressed := runCheck(t, "wrapreach", map[string]string{
 		"a.go": `package fixture
 
-var counter int
-
-func work(i int) {
-	counter += i
+func helper(buf []byte) int {
+	return narrow(uint64(buf[0])<<32 | uint64(buf[1]))
 }
 
-func Run() {
-	done := make(chan struct{})
-	go func() {
-		work(1)
-		close(done)
-	}()
-	<-done
-}
-`,
-	})
-	wantOne(t, findings, 6, "writes package-level counter")
-}
-
-// A function handed to a pool runner roots the worker set, and the write
-// two calls down is attributed to that root.
-func TestPurityPoolArgTransitiveWrite(t *testing.T) {
-	findings, _ := runCheck(t, "purity", map[string]string{
-		"a.go": `package fixture
-
-var total float64
-
-func runPool(fn func(int)) {
-	fn(0)
-}
-
-func tally(i int) {
-	bump(i)
-}
-
-func bump(i int) {
-	total += float64(i)
-}
-
-func Launch() {
-	runPool(tally)
-}
-`,
-	})
-	wantOne(t, findings, 14, "via fixture.tally")
-}
-
-// Writes into caller-owned storage (parameters, locals) are fine.
-func TestPurityParamWriteClean(t *testing.T) {
-	findings, suppressed := runCheck(t, "purity", map[string]string{
-		"a.go": `package fixture
-
-func fill(dst []float64, i int) {
-	dst[i] = float64(i)
-}
-
-func Spawn() []float64 {
-	dst := make([]float64, 4)
-	done := make(chan struct{})
-	go func() {
-		fill(dst, 0)
-		close(done)
-	}()
-	<-done
-	return dst
-}
-`,
-	})
-	wantClean(t, findings, suppressed, 0)
-}
-
-// Global writes outside any worker-reachable function are not purity's
-// concern.
-func TestPurityNonWorkerGlobalWriteClean(t *testing.T) {
-	findings, suppressed := runCheck(t, "purity", map[string]string{
-		"a.go": `package fixture
-
-var mode int
-
-func SetMode(m int) {
-	mode = m
+func narrow(v uint64) int {
+	return int(v)
 }
 `,
 	})
@@ -468,9 +225,6 @@ func readHeader(buf []byte) uint64 {
 	lp := r.sums["fixture.loopy"]
 	if lp == nil {
 		t.Fatal("no summary for loopy")
-	}
-	if lp.loopVia[0] == nil {
-		t.Error("loopy: parameter 0 does not reach a loop bound, want loopVia[0] set")
 	}
 	if lp.retMask != 0 {
 		t.Errorf("loopy retMask = %b, want 0", lp.retMask)
@@ -530,26 +284,26 @@ func helper(buf []byte) int { return len(buf) }
 // Recursive and mutually-recursive summaries reach a fixed point, and the
 // taint still crosses the cycle.
 func TestSummaryFixpointOnRecursion(t *testing.T) {
-	findings, _ := runCheck(t, "limitreach", map[string]string{
+	findings, _ := runCheck(t, "wrapreach", map[string]string{
 		"a.go": `package fixture
 
-func DecodeNest(buf []byte) []float64 {
-	return descend(int(buf[0]), 3)
+func DecodeNest(buf []byte) int {
+	return descend(uint64(buf[0]), 3)
 }
 
-func descend(n, depth int) []float64 {
+func descend(n uint64, depth int) int {
 	if depth == 0 {
-		return alloc(n)
+		return narrow(n)
 	}
 	return descend(n, depth-1)
 }
 
-func alloc(n int) []float64 {
-	return make([]float64, n)
+func narrow(n uint64) int {
+	return int(n)
 }
 `,
 	})
 	// depth is guarded (the == comparison sanitizes it) but n is not: the
-	// cycle must still deliver n's taint to the allocation.
-	wantOne(t, findings, 15, "fixture.DecodeNest → fixture.descend → fixture.alloc")
+	// cycle must still deliver n's taint to the conversion.
+	wantOne(t, findings, 15, "fixture.DecodeNest → fixture.descend → fixture.narrow")
 }

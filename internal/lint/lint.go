@@ -3,57 +3,18 @@
 // parses and type-checks every package in the module (go/parser + go/types)
 // and runs registered checks over the typed ASTs.
 //
-// The checks encode invariants the paper's guarantee depends on (see
-// DESIGN.md §6):
+// Each check is kept because it caught a real bug here (see DESIGN.md §6):
 //
-//	floatcmp   — no raw ==/!= between floating-point operands in library
-//	             code; exact comparisons go through internal/floatbits
-//	             helpers so intent is explicit.
-//	nopanic    — no panic reachable from decode/decompress entry points;
-//	             corrupted input must error, not panic.
 //	errdrop    — no silently discarded error returns in library code.
-//	logbase    — internal/core's hot paths use base-2 only (math.Log2 /
-//	             math.Exp2); Log/Log10/Exp/Pow appear only in the audited
-//	             base-study dispatch.
 //	benchclock — tests must not assert orderings of wall-clock-derived
 //	             durations without a race-detector/CI guard.
-//	ctxflow    — goroutine channel sends must select against a
-//	             cancellation receive (stop channel, ctx.Done()) or a
-//	             default, so worker pools can be torn down.
-//	optsflow   — exported entry points accepting a context.Context or
-//	             *DecodeLimits must actually use it (thread it into the
-//	             shared options core); a dropped parameter silently
-//	             voids the caller's cancellation or decode ceiling.
-//
-// Five further checks run on a per-function dataflow engine (cfg.go): a
-// statement-level control-flow graph with reaching definitions and
-// forward may/must set analyses:
-//
-//	intnarrow   — no possibly-truncating integer conversion or over-wide
-//	              shift in the bit-level codec packages.
-//	decodebound — taint: input-derived values must pass a range guard
-//	              before indexing, sizing an allocation, or bounding a
-//	              loop in decode paths.
-//	goroleak    — WaitGroup Add/Done pairing around every go statement
-//	              and close-on-all-paths for ranged channels.
-//	allochot    — no per-iteration make()/grow-from-empty append() in
-//	              hot codec loops.
-//	encdecpair  — every exported Encode/Compress has a mirrored
-//	              Decode/Decompress with matching option structs.
-//
-// Four checks run on the interprocedural summary layer (summary.go,
-// interproc.go): per-function taint/provenance summaries propagated
-// bottom-up over the call graph with fixed-point iteration:
-//
-//	limitreach  — allocations sized by decoder input on any call path
-//	              from an exported decode entry must pass a DecodeLimits
-//	              or range guard first.
-//	boundconst  — error bounds reaching the quantizer packages must be
-//	              the Lemma-2 tightened value, not raw log2(1+b).
-//	purity      — functions invoked from worker pools must not write
-//	              package-level state (chunk-order determinism).
-//	wrapreach   — narrowing conversions of unvalidated decoder input,
-//	              including a callee narrowing what its caller trusts.
+//	intnarrow  — no possibly-truncating integer conversion or over-wide
+//	             shift in the bit-level codec packages.
+//	allochot   — no per-iteration make()/grow-from-empty append() in hot
+//	             codec loops (reaching definitions over cfg.go).
+//	wrapreach  — no narrowing conversion of unvalidated decoder input,
+//	             including a callee narrowing what its caller trusts
+//	             (interprocedural summaries, summary.go and interproc.go).
 //
 // Findings can be suppressed with an inline comment on the same line or
 // the line above:
@@ -84,19 +45,12 @@ import (
 // Finding is one reported violation. Interprocedural checks attach the
 // witness call chain (entry first, sink last).
 type Finding struct {
-	Check   string         `json:"check"`
-	Pos     token.Position `json:"-"`
-	File    string         `json:"file"`
-	Line    int            `json:"line"`
-	Col     int            `json:"col"`
-	Message string         `json:"message"`
-	Chain   []string       `json:"chain,omitempty"`
-	// ChainPos carries the witness chain's source positions (entry
-	// first, sink last) so a //lint:allow directive can live at any hop
-	// of an interprocedural finding — in particular at the seed site
-	// (the store or entry that makes the flow real) rather than only at
-	// the sink.
-	ChainPos []token.Position `json:"-"`
+	Check   string
+	File    string
+	Line    int
+	Col     int
+	Message string
+	Chain   []string
 }
 
 func (f Finding) String() string {
@@ -118,21 +72,10 @@ type Check interface {
 // deterministic order.
 func AllChecks() []Check {
 	return []Check{
-		floatcmpCheck{},
-		nopanicCheck{},
 		errdropCheck{},
-		logbaseCheck{},
 		benchclockCheck{},
 		intnarrowCheck{},
-		decodeboundCheck{},
-		goroleakCheck{},
-		ctxflowCheck{},
-		optsflowCheck{},
 		allochotCheck{},
-		encdecpairCheck{},
-		limitreachCheck{},
-		boundconstCheck{},
-		purityCheck{},
 		wrapreachCheck{},
 	}
 }
@@ -168,19 +111,22 @@ type Module struct {
 	// Packages are the lint units in deterministic order.
 	Packages []*Package
 
-	allowed map[string]map[int][]string // filename -> line -> allowed checks
+	// allowed holds one entry per check a //lint:allow directive names,
+	// set once the entry has suppressed a finding.
+	allowed map[allowKey]bool
 
 	graphOnce sync.Once
 	graph     *callGraph
 
 	ipOnce sync.Once
 	ip     *ipResult
+}
 
-	bcOnce sync.Once
-	bc     map[string]*bcSummary
-
-	purityOnce sync.Once
-	pur        *purityData
+// allowKey is one check named by a //lint:allow directive.
+type allowKey struct {
+	file  string
+	line  int
+	check string
 }
 
 // FindModuleRoot ascends from dir to the nearest directory containing
@@ -309,9 +255,8 @@ func (m *Module) Run(checks []Check) (findings []Finding, suppressed int) {
 }
 
 // CheckTime is one check's wall-clock cost over the whole module. The
-// lazily built shared analyses (call graph, interprocedural and
-// bound-provenance fixpoints) are attributed to whichever check triggers
-// them first, in AllChecks order.
+// lazily built shared analyses (call graph, interprocedural fixpoint) are
+// attributed to whichever check triggers them first, in AllChecks order.
 type CheckTime struct {
 	Name string
 	Wall time.Duration
@@ -367,35 +312,35 @@ func (m *Module) RunTimed(checks []Check) (findings []Finding, suppressed int, t
 // allowRe matches the suppression directive.
 var allowRe = regexp.MustCompile(`^//lint:allow\s+([a-z0-9_,]+)(\s|$)`)
 
-// isAllowed reports whether a //lint:allow directive names the finding's
-// check (or "all") at the finding's own line — or at any hop of its
-// witness chain, so interprocedural findings can be suppressed where the
-// flow starts (the seed store or entry) instead of at every sink it
-// reaches.
+// isAllowed reports whether a //lint:allow directive on the finding's
+// line, or the line directly above, names the finding's check, and marks
+// that directive as used.
 func (m *Module) isAllowed(f Finding) bool {
-	if m.allowedAt(f.Check, f.File, f.Line) {
-		return true
-	}
-	for _, p := range f.ChainPos {
-		if m.allowedAt(f.Check, p.Filename, p.Line) {
+	for _, line := range []int{f.Line, f.Line - 1} {
+		k := allowKey{file: f.File, line: line, check: f.Check}
+		if _, ok := m.allowed[k]; ok {
+			m.allowed[k] = true
 			return true
 		}
 	}
 	return false
 }
 
-// allowedAt reports whether file:line (or the line directly above)
-// carries a //lint:allow directive naming check.
-func (m *Module) allowedAt(check, file string, line int) bool {
-	lines := m.allowed[file]
-	for _, l := range []int{line, line - 1} {
-		for _, name := range lines[l] {
-			if name == check || name == "all" {
-				return true
-			}
+// unusedAllows lists the //lint:allow entries that name one of checks but
+// have suppressed none of its findings so far, as "file:line: check".
+func (m *Module) unusedAllows(checks []Check) []string {
+	ran := map[string]bool{}
+	for _, c := range checks {
+		ran[c.Name()] = true
+	}
+	var out []string
+	for k, used := range m.allowed {
+		if !used && ran[k.check] {
+			out = append(out, fmt.Sprintf("%s:%d: %s", k.file, k.line, k.check))
 		}
 	}
-	return false
+	sort.Strings(out)
+	return out
 }
 
 // newFinding builds a Finding at pos.
@@ -403,7 +348,6 @@ func (m *Module) newFinding(check string, pos token.Pos, format string, args ...
 	p := m.Fset.Position(pos)
 	return Finding{
 		Check:   check,
-		Pos:     p,
 		File:    p.Filename,
 		Line:    p.Line,
 		Col:     p.Column,
@@ -430,7 +374,7 @@ func newLoader(root, modPath string) *loader {
 			Root:    root,
 			Path:    modPath,
 			Fset:    fset,
-			allowed: map[string]map[int][]string{},
+			allowed: map[allowKey]bool{},
 		},
 		depCache: map[string]*types.Package{},
 		building: map[string]bool{},
@@ -577,21 +521,19 @@ func (ld *loader) typecheck(path string, files []*ast.File) (*types.Package, *ty
 	return pkg, info, nil
 }
 
-// recordAllows indexes //lint:allow directives by file and line.
+// recordAllows indexes the checks //lint:allow directives name by file
+// and line.
 func (ld *loader) recordAllows(filename string, f *ast.File) {
-	var lines map[int][]string
 	for _, cg := range f.Comments {
 		for _, c := range cg.List {
 			m := allowRe.FindStringSubmatch(c.Text)
 			if m == nil {
 				continue
 			}
-			if lines == nil {
-				lines = map[int][]string{}
-				ld.mod.allowed[filename] = lines
-			}
 			line := ld.mod.Fset.Position(c.Pos()).Line
-			lines[line] = append(lines[line], strings.Split(m[1], ",")...)
+			for _, check := range strings.Split(m[1], ",") {
+				ld.mod.allowed[allowKey{file: filename, line: line, check: check}] = false
+			}
 		}
 	}
 }

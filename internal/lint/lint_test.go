@@ -47,137 +47,6 @@ func wantClean(t *testing.T, findings []Finding, suppressed, wantSuppressed int)
 	}
 }
 
-func TestFloatcmp(t *testing.T) {
-	findings, _ := runCheck(t, "floatcmp", map[string]string{
-		"a.go": `package fixture
-
-func Same(a, b float64) bool {
-	return a == b
-}
-`,
-	})
-	wantOne(t, findings, 4, "floatbits.IsZero")
-}
-
-func TestFloatcmpConstantAndNonFloatSkipped(t *testing.T) {
-	findings, suppressed := runCheck(t, "floatcmp", map[string]string{
-		"a.go": `package fixture
-
-const eps = 1e-9
-
-func Classify(n int) bool {
-	if eps == 1e-9 { // both operands constant: exact by definition
-		return n == 0
-	}
-	return false
-}
-`,
-	})
-	wantClean(t, findings, suppressed, 0)
-}
-
-func TestFloatcmpTestFilesExempt(t *testing.T) {
-	findings, suppressed := runCheck(t, "floatcmp", map[string]string{
-		"a_test.go": `package fixture
-
-import "testing"
-
-func TestExact(t *testing.T) {
-	var got, want float64
-	if got != want {
-		t.Fail()
-	}
-}
-`,
-	})
-	wantClean(t, findings, suppressed, 0)
-}
-
-func TestFloatcmpSuppressed(t *testing.T) {
-	findings, suppressed := runCheck(t, "floatcmp", map[string]string{
-		"a.go": `package fixture
-
-func IsZero(v float64) bool {
-	return v == 0 //lint:allow floatcmp exact zero is this helper's contract
-}
-`,
-	})
-	wantClean(t, findings, suppressed, 1)
-}
-
-func TestNopanicReachable(t *testing.T) {
-	findings, _ := runCheck(t, "nopanic", map[string]string{
-		"a.go": `package fixture
-
-func Decompress(b []byte) byte {
-	return first(b)
-}
-
-func first(b []byte) byte {
-	if len(b) == 0 {
-		panic("empty stream")
-	}
-	return b[0]
-}
-`,
-	})
-	wantOne(t, findings, 9, "decode path")
-}
-
-func TestNopanicUnreachableFromEntries(t *testing.T) {
-	findings, suppressed := runCheck(t, "nopanic", map[string]string{
-		"a.go": `package fixture
-
-func Compress(b []byte) []byte {
-	if b == nil {
-		panic("nil input") // encode side: not a decode entry point
-	}
-	return b
-}
-`,
-	})
-	wantClean(t, findings, suppressed, 0)
-}
-
-func TestNopanicSuppressedWithInvariant(t *testing.T) {
-	findings, suppressed := runCheck(t, "nopanic", map[string]string{
-		"a.go": `package fixture
-
-func ReadBits(width uint) uint64 {
-	if width > 64 {
-		panic("width > 64") //lint:allow nopanic caller invariant, not input-driven
-	}
-	return 0
-}
-`,
-	})
-	wantClean(t, findings, suppressed, 1)
-}
-
-func TestNopanicInterfaceDispatch(t *testing.T) {
-	// A panic inside a concrete implementation must be found through an
-	// interface-method call on the decode path.
-	findings, _ := runCheck(t, "nopanic", map[string]string{
-		"a.go": `package fixture
-
-type source interface {
-	next() byte
-}
-
-type fixed struct{}
-
-func (fixed) next() byte {
-	panic("no more bytes")
-}
-
-func Decode(s source) byte {
-	return s.next()
-}
-`,
-	})
-	wantOne(t, findings, 10, "decode path")
-}
-
 func TestErrdrop(t *testing.T) {
 	findings, _ := runCheck(t, "errdrop", map[string]string{
 		"a.go": `package fixture
@@ -221,81 +90,79 @@ func Show(path string) {
 	wantClean(t, findings, suppressed, 0)
 }
 
+// The shape of writePGM before f15442a: the deferred Close of a written
+// file is where its final write error surfaces, and it was dropped.
 func TestErrdropDefer(t *testing.T) {
 	findings, _ := runCheck(t, "errdrop", map[string]string{
 		"a.go": `package fixture
 
-import "os"
+import (
+	"fmt"
+	"os"
+)
 
-func Read(path string) {
-	f, err := os.Open(path)
+func writePGM(path string, nx, ny int) error {
+	f, err := os.Create(path)
 	if err != nil {
-		return
+		return err
 	}
 	defer f.Close()
+	_, err = fmt.Fprintf(f, "P5\n%d %d\n255\n", nx, ny)
+	return err
 }
 `,
 	})
-	wantOne(t, findings, 10, "silently discarded")
+	wantOne(t, findings, 13, "silently discarded")
 }
 
-func TestLogbase(t *testing.T) {
-	findings, _ := runCheck(t, "logbase", map[string]string{
-		"a.go": `package fixture
-
-import "math"
-
-func Forward(v float64) float64 {
-	return math.Log(v)
-}
-`,
-	})
-	wantOne(t, findings, 6, "base-2 policy")
-}
-
-func TestLogbaseBase2AllowedAndSuppression(t *testing.T) {
-	findings, suppressed := runCheck(t, "logbase", map[string]string{
-		"a.go": `package fixture
-
-import "math"
-
-func Forward(v float64) float64 {
-	return math.Log2(v)
-}
-
-func baseStudy(v float64) float64 {
-	return math.Log10(v) //lint:allow logbase base-study dispatch
-}
-`,
-	})
-	wantClean(t, findings, suppressed, 1)
-}
-
+// The shape of TestFigure6 before f15442a: dump times derived from live
+// measured compression rates are ordered against each other, which the
+// race detector's non-uniform slowdown flipped.
 func TestBenchclock(t *testing.T) {
 	findings, _ := runCheck(t, "benchclock", map[string]string{
 		"a.go": `package fixture
 
 import "time"
 
-func measure() time.Duration {
+type Config struct {
+	FixedRates map[string]float64
+}
+
+type Entry struct {
+	Algo string
+	Dump time.Duration
+}
+
+func measureRate(n int) float64 {
 	start := time.Now()
-	return time.Since(start)
+	return float64(n) / time.Since(start).Seconds()
+}
+
+func Figure6(cfg Config) []Entry {
+	out := make([]Entry, 0, 2)
+	for _, a := range []string{"sz_t", "fpzip"} {
+		rate, ok := cfg.FixedRates[a]
+		if !ok {
+			rate = measureRate(1 << 20)
+		}
+		out = append(out, Entry{Algo: a, Dump: time.Duration(1e15 / rate)})
+	}
+	return out
 }
 `,
 		"a_test.go": `package fixture
 
 import "testing"
 
-func TestFaster(t *testing.T) {
-	a := measure()
-	b := measure()
-	if a > b {
-		t.Fatal("ordering flipped")
+func TestFigure6(t *testing.T) {
+	res := Figure6(Config{})
+	if res[0].Dump >= res[1].Dump {
+		t.Fatal("sz_t must dump fastest")
 	}
 }
 `,
 	})
-	wantOne(t, findings, 8, "non-uniform")
+	wantOne(t, findings, 7, "non-uniform")
 }
 
 func TestBenchclockGuardedAndUntainted(t *testing.T) {
@@ -306,9 +173,20 @@ import "time"
 
 const RaceEnabled = false
 
+type Config struct {
+	FixedRates map[string]float64
+}
+
 func measure() time.Duration {
 	start := time.Now()
 	return time.Since(start)
+}
+
+func dumpTime(cfg Config, algo string) time.Duration {
+	if r, ok := cfg.FixedRates[algo]; ok {
+		return time.Duration(1e15 / r)
+	}
+	return measure()
 }
 `,
 		"a_test.go": `package fixture
@@ -317,6 +195,14 @@ import (
 	"testing"
 	"time"
 )
+
+func TestFixedRates(t *testing.T) {
+	// Injected rates make the ordering deterministic.
+	cfg := Config{FixedRates: map[string]float64{"sz_t": 180e6, "fpzip": 420e6}}
+	if dumpTime(cfg, "fpzip") > dumpTime(cfg, "sz_t") {
+		t.Fatal("ordering flipped")
+	}
+}
 
 func TestGuarded(t *testing.T) {
 	if RaceEnabled {
@@ -354,126 +240,52 @@ func TestRunSortsAndCountsAcrossChecks(t *testing.T) {
 	m, err := LoadSources(map[string]string{
 		"a.go": `package fixture
 
-import "math"
+import "os"
 
-func Forward(v float64) float64 {
-	if v == 0 {
+func Touch(path string, x uint64) uint32 {
+	v := uint32(x)
+	f, err := os.Create(path)
+	if err != nil {
 		return 0
 	}
-	return math.Log(v)
+	f.Close()
+	//lint:allow intnarrow,errdrop x>>1 < 2^32 by the caller
+	return v + uint32(x>>1)
 }
 `,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	findings, suppressed := m.Run(AllChecks())
-	if suppressed != 0 {
-		t.Fatalf("suppressed = %d, want 0", suppressed)
+	checks := AllChecks()
+	findings, suppressed := m.Run(checks)
+	if suppressed != 1 {
+		t.Fatalf("suppressed = %d, want 1", suppressed)
 	}
 	if len(findings) != 2 {
 		t.Fatalf("got %d findings, want 2: %v", len(findings), findings)
 	}
-	if findings[0].Check != "floatcmp" || findings[1].Check != "logbase" {
+	if findings[0].Check != "intnarrow" || findings[1].Check != "errdrop" {
 		t.Fatalf("findings not sorted by position: %v", findings)
 	}
 	if findings[0].Line >= findings[1].Line {
 		t.Fatalf("lines out of order: %v", findings)
 	}
-}
-
-func TestAllowWildcard(t *testing.T) {
-	findings, suppressed := runCheck(t, "floatcmp", map[string]string{
-		"a.go": `package fixture
-
-func Same(a, b float64) bool {
-	//lint:allow all legacy code pending cleanup
-	return a == b
-}
-`,
-	})
-	wantClean(t, findings, suppressed, 1)
+	// The directive's errdrop entry suppresses nothing and is reported.
+	if got := m.unusedAllows(checks); len(got) != 1 || got[0] != "a.go:12: errdrop" {
+		t.Errorf("unusedAllows = %q, want [a.go:12: errdrop]", got)
+	}
 }
 
 func TestFindingString(t *testing.T) {
-	findings, _ := runCheck(t, "floatcmp", map[string]string{
-		"a.go": "package fixture\n\nfunc Same(a, b float64) bool { return a == b }\n",
+	findings, _ := runCheck(t, "intnarrow", map[string]string{
+		"a.go": "package fixture\n\nfunc Trunc(x uint64) uint32 { return uint32(x) }\n",
 	})
 	if len(findings) != 1 {
 		t.Fatalf("findings: %v", findings)
 	}
 	s := findings[0].String()
-	if !strings.HasPrefix(s, "a.go:3:") || !strings.Contains(s, "[floatcmp]") {
+	if !strings.HasPrefix(s, "a.go:3:") || !strings.Contains(s, "[intnarrow]") {
 		t.Errorf("String() = %q", s)
 	}
-}
-
-func TestOptsflowDroppedContext(t *testing.T) {
-	findings, _ := runCheck(t, "optsflow", map[string]string{
-		"a.go": `package fixture
-
-import "context"
-
-func process() {}
-
-// DecompressCtx promises cancellation but never consults ctx.
-func DecompressCtx(ctx context.Context, n int) int {
-	process()
-	return n
-}
-`,
-	})
-	wantOne(t, findings, 8, "never uses it")
-}
-
-func TestOptsflowDroppedLimits(t *testing.T) {
-	findings, _ := runCheck(t, "optsflow", map[string]string{
-		"a.go": `package fixture
-
-type DecodeLimits struct{ MaxElements int64 }
-
-func OpenLimits(buf []byte, lim *DecodeLimits) int {
-	return len(buf)
-}
-`,
-	})
-	wantOne(t, findings, 5, "*DecodeLimits")
-}
-
-func TestOptsflowThreadedAndExemptForms(t *testing.T) {
-	findings, suppressed := runCheck(t, "optsflow", map[string]string{
-		"a.go": `package fixture
-
-import "context"
-
-type DecodeLimits struct{ MaxElements int64 }
-
-type config struct {
-	ctx context.Context
-	lim *DecodeLimits
-}
-
-// Threaded: both parameters reach the options core.
-func DecodeCtx(ctx context.Context, lim *DecodeLimits) config {
-	return config{ctx: ctx, lim: lim}
-}
-
-// Blank parameter: explicitly unused, not flagged.
-func Probe(_ context.Context) {}
-
-// Unexported: internal plumbing is out of scope.
-func drop(ctx context.Context) {}
-
-// Audited: interface-mandated signature.
-func Shim(ctx context.Context) {} //lint:allow optsflow satisfies handler interface
-`,
-		"a_test.go": `package fixture
-
-import "context"
-
-// Test files are exempt even for exported helpers.
-func HelperForTests(ctx context.Context) {}
-`,
-	})
-	wantClean(t, findings, suppressed, 1)
 }

@@ -1,14 +1,11 @@
 package lint
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
-// Fixture tests for the dataflow checks (intnarrow, decodebound,
-// goroleak, allochot, encdecpair). Each check gets at least one seeded
-// violation, one clean variant exercising the analysis that clears it,
-// and — where the module relies on it — a suppression test.
+// Fixture tests for intnarrow and the dataflow check allochot. Each check
+// gets at least one seeded violation in the shape of the bug it caught in
+// this repository, one clean variant exercising the analysis that clears
+// it, and a suppression test.
 
 // --- intnarrow ---------------------------------------------------------
 
@@ -24,18 +21,36 @@ func Narrow(x uint64) uint32 {
 	wantOne(t, findings, 4, "may truncate")
 }
 
+// The shape of huffman.ParseTable before a4e3dd6: the decoded delta d is
+// checked only against zero, so a near-2^64 varint flips int(d) negative
+// and sym indexes lengths[] out of range. uint64 -> int: 64 value bits do
+// not fit int's 63.
 func TestIntnarrowSignFlip(t *testing.T) {
-	// uint64 -> int: 64 value bits do not fit int's 63; the top bit would
-	// land in the sign.
 	findings, _ := runCheck(t, "intnarrow", map[string]string{
 		"a.go": `package fixture
 
-func ToInt(x uint64) int {
-	return int(x)
+import "encoding/binary"
+
+func ParseTable(data []byte, lengths []uint8) bool {
+	prev, off := -1, 0
+	for off < len(data) {
+		d, n := binary.Uvarint(data[off:])
+		if n <= 0 || d == 0 {
+			return false
+		}
+		off += n
+		sym := prev + int(d)
+		if sym >= len(lengths) {
+			return false
+		}
+		lengths[sym] = 1
+		prev = sym
+	}
+	return true
 }
 `,
 	})
-	wantOne(t, findings, 4, "may truncate")
+	wantOne(t, findings, 13, "may truncate")
 }
 
 func TestIntnarrowOverWideShift(t *testing.T) {
@@ -79,244 +94,6 @@ func Trunc(x uint64) byte {
 	wantClean(t, findings, suppressed, 1)
 }
 
-// --- decodebound -------------------------------------------------------
-
-func TestDecodeboundTaintedIndex(t *testing.T) {
-	findings, _ := runCheck(t, "decodebound", map[string]string{
-		"a.go": `package fixture
-
-func Decode(buf []byte) byte {
-	n := int(buf[0])
-	return buf[n]
-}
-`,
-	})
-	wantOne(t, findings, 5, "without a prior range guard")
-}
-
-func TestDecodeboundTaintedMakeSize(t *testing.T) {
-	findings, _ := runCheck(t, "decodebound", map[string]string{
-		"a.go": `package fixture
-
-func Uvarint(b []byte) (uint64, int) {
-	return 0, 0
-}
-
-func Parse(buf []byte) []byte {
-	n, _ := Uvarint(buf)
-	return make([]byte, n)
-}
-`,
-	})
-	wantOne(t, findings, 9, "allocation bomb")
-}
-
-func TestDecodeboundTaintedLoopBound(t *testing.T) {
-	findings, _ := runCheck(t, "decodebound", map[string]string{
-		"a.go": `package fixture
-
-func ParseCount(buf []byte) int {
-	n := int(buf[0])
-	t := 0
-	for i := 0; i < n; i++ {
-		t++
-	}
-	return t
-}
-`,
-	})
-	wantOne(t, findings, 6, "iteration count")
-}
-
-func TestDecodeboundGuardSanitizes(t *testing.T) {
-	findings, suppressed := runCheck(t, "decodebound", map[string]string{
-		"a.go": `package fixture
-
-func Decode(buf []byte) byte {
-	n := int(buf[0])
-	if n >= len(buf) {
-		return 0
-	}
-	return buf[n]
-}
-`,
-	})
-	wantClean(t, findings, suppressed, 0)
-}
-
-func TestDecodeboundMixedLoopBoundPasses(t *testing.T) {
-	// The rangecoder symbol-search shape: one comparison is tainted but
-	// another bounds the loop by untainted terms, so the iteration count
-	// stays under the decoder's control.
-	findings, suppressed := runCheck(t, "decodebound", map[string]string{
-		"a.go": `package fixture
-
-func DecodeSym(buf []byte, freq []uint32) int {
-	f := uint32(buf[0])
-	var cum uint32
-	s := 0
-	for s < len(freq) && cum+freq[s] <= f {
-		cum += freq[s]
-		s++
-	}
-	return s
-}
-`,
-	})
-	wantClean(t, findings, suppressed, 0)
-}
-
-func TestDecodeboundNonDecodeFunctionExempt(t *testing.T) {
-	findings, suppressed := runCheck(t, "decodebound", map[string]string{
-		"a.go": `package fixture
-
-func Transform(buf []byte) byte {
-	n := int(buf[0])
-	return buf[n]
-}
-`,
-	})
-	wantClean(t, findings, suppressed, 0)
-}
-
-func TestDecodeboundSuppressed(t *testing.T) {
-	findings, suppressed := runCheck(t, "decodebound", map[string]string{
-		"a.go": `package fixture
-
-func Decode(buf []byte) byte {
-	n := int(buf[0])
-	//lint:allow decodebound n < 256 and buf is at least 4 KiB by contract
-	return buf[n]
-}
-`,
-	})
-	wantClean(t, findings, suppressed, 1)
-}
-
-// --- goroleak ----------------------------------------------------------
-
-func TestGoroleakDoneNotDeferred(t *testing.T) {
-	findings, _ := runCheck(t, "goroleak", map[string]string{
-		"a.go": `package fixture
-
-import "sync"
-
-func Run() {
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		wg.Done()
-	}()
-	wg.Wait()
-}
-`,
-	})
-	wantOne(t, findings, 9, "must be deferred")
-}
-
-func TestGoroleakAddMissing(t *testing.T) {
-	findings, _ := runCheck(t, "goroleak", map[string]string{
-		"a.go": `package fixture
-
-import "sync"
-
-func Run() {
-	var wg sync.WaitGroup
-	go func() {
-		defer wg.Done()
-	}()
-	wg.Wait()
-}
-`,
-	})
-	wantOne(t, findings, 7, "not guaranteed on every path")
-}
-
-func TestGoroleakPairedClean(t *testing.T) {
-	findings, suppressed := runCheck(t, "goroleak", map[string]string{
-		"a.go": `package fixture
-
-import "sync"
-
-func Run(work []int) {
-	var wg sync.WaitGroup
-	for range work {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-		}()
-	}
-	wg.Wait()
-}
-`,
-	})
-	wantClean(t, findings, suppressed, 0)
-}
-
-func TestGoroleakRangedChannelNotClosed(t *testing.T) {
-	findings, _ := runCheck(t, "goroleak", map[string]string{
-		"a.go": `package fixture
-
-func Drain() int {
-	ch := make(chan int, 1)
-	go func() {
-		ch <- 1
-	}()
-	t := 0
-	for v := range ch {
-		t += v
-	}
-	return t
-}
-`,
-	})
-	wantOne(t, findings, 4, "ranged over")
-}
-
-func TestGoroleakChannelClosedInGoroutine(t *testing.T) {
-	findings, suppressed := runCheck(t, "goroleak", map[string]string{
-		"a.go": `package fixture
-
-func Drain() int {
-	ch := make(chan int, 1)
-	go func() {
-		ch <- 1
-		close(ch)
-	}()
-	t := 0
-	for v := range ch {
-		t += v
-	}
-	return t
-}
-`,
-	})
-	wantClean(t, findings, suppressed, 0)
-}
-
-func TestGoroleakDeferredCloseClean(t *testing.T) {
-	findings, suppressed := runCheck(t, "goroleak", map[string]string{
-		"a.go": `package fixture
-
-func Produce(xs []int) []int {
-	ch := make(chan int, len(xs))
-	defer close(ch)
-	for _, x := range xs {
-		ch <- x
-	}
-	out := make([]int, 0, len(xs))
-	go func() {
-		for v := range ch {
-			out = append(out, v)
-		}
-	}()
-	return out
-}
-`,
-	})
-	wantClean(t, findings, suppressed, 0)
-}
-
 // --- allochot ----------------------------------------------------------
 
 func TestAllochotMakeInLoop(t *testing.T) {
@@ -337,20 +114,32 @@ func Sum(rows [][]int) int {
 	wantOne(t, findings, 6, "hoist the buffer")
 }
 
+// The shape of huffman.Build before a4e3dd6: the heap starts as an empty
+// hheap and grows one append per used symbol before heap.Init, so every
+// Build reallocated it log(n) times.
 func TestAllochotAppendFromEmpty(t *testing.T) {
 	findings, _ := runCheck(t, "allochot", map[string]string{
 		"a.go": `package fixture
 
-func Double(xs []int) []int {
-	var out []int
-	for _, x := range xs {
-		out = append(out, 2*x)
+type hnode struct {
+	freq   uint64
+	symbol int
+}
+
+type hheap []*hnode
+
+func Build(freqs []uint64) hheap {
+	var h hheap
+	for sym, f := range freqs {
+		if f > 0 {
+			h = append(h, &hnode{freq: f, symbol: sym})
+		}
 	}
-	return out
+	return h
 }
 `,
 	})
-	wantOne(t, findings, 6, "preallocate")
+	wantOne(t, findings, 14, "preallocate")
 }
 
 func TestAllochotPreallocatedClean(t *testing.T) {
@@ -381,225 +170,6 @@ func Headers(n int) [][]byte {
 		out = append(out, h)
 	}
 	return out
-}
-`,
-	})
-	wantClean(t, findings, suppressed, 1)
-}
-
-// --- encdecpair --------------------------------------------------------
-
-func TestEncdecpairMissingMirror(t *testing.T) {
-	findings, _ := runCheck(t, "encdecpair", map[string]string{
-		"a.go": `package fixture
-
-func CompressBlock(b []byte) []byte {
-	return b
-}
-`,
-	})
-	wantOne(t, findings, 3, "no mirrored DecompressBlock")
-}
-
-func TestEncdecpairBareDecoderFallback(t *testing.T) {
-	// A self-describing stream decodes through the package's bare
-	// Decompress even when the encoder name is qualified.
-	findings, suppressed := runCheck(t, "encdecpair", map[string]string{
-		"a.go": `package fixture
-
-func CompressBlock(b []byte) []byte {
-	return b
-}
-
-func Decompress(b []byte) ([]byte, error) {
-	return b, nil
-}
-`,
-	})
-	wantClean(t, findings, suppressed, 0)
-}
-
-func TestEncdecpairWordBoundary(t *testing.T) {
-	// Encoder and CompressionRatio are words of their own, not
-	// Encode/Compress prefixes.
-	findings, suppressed := runCheck(t, "encdecpair", map[string]string{
-		"a.go": `package fixture
-
-type Encoder struct{}
-
-func NewEncoder() *Encoder {
-	return &Encoder{}
-}
-
-func CompressionRatio(raw, packed int) float64 {
-	return float64(raw) / float64(packed)
-}
-`,
-	})
-	wantClean(t, findings, suppressed, 0)
-}
-
-func TestEncdecpairOptionsMismatch(t *testing.T) {
-	findings, _ := runCheck(t, "encdecpair", map[string]string{
-		"a.go": `package fixture
-
-type EncodeOptions struct {
-	Level int
-	Fast  bool
-}
-
-type DecodeOptions struct {
-	Level int
-}
-
-func EncodeFrame(b []byte, o *EncodeOptions) []byte {
-	return b
-}
-
-func DecodeFrame(b []byte, o *DecodeOptions) []byte {
-	return b
-}
-`,
-	})
-	wantOne(t, findings, 12, "field Fast missing on the decode side")
-}
-
-func TestEncdecpairMatchingOptionsClean(t *testing.T) {
-	findings, suppressed := runCheck(t, "encdecpair", map[string]string{
-		"a.go": `package fixture
-
-type FrameOptions struct {
-	Level int
-}
-
-func EncodeFrame(b []byte, o *FrameOptions) []byte {
-	return b
-}
-
-func DecodeFrame(b []byte, o *FrameOptions) []byte {
-	return b
-}
-`,
-	})
-	wantClean(t, findings, suppressed, 0)
-}
-
-// --- ctxflow -----------------------------------------------------------
-
-func TestCtxflowBareSend(t *testing.T) {
-	findings, _ := runCheck(t, "ctxflow", map[string]string{
-		"a.go": `package fixture
-
-func Pool(jobs chan int) {
-	go func() {
-		jobs <- 1
-	}()
-}
-`,
-	})
-	wantOne(t, findings, 5, "bare channel send")
-}
-
-func TestCtxflowSelectOnlySends(t *testing.T) {
-	findings, _ := runCheck(t, "ctxflow", map[string]string{
-		"a.go": `package fixture
-
-func Pool(a, b chan int) {
-	go func() {
-		select {
-		case a <- 1:
-		case b <- 2:
-		}
-	}()
-}
-`,
-	})
-	if len(findings) != 2 {
-		t.Fatalf("got %d findings, want 2 (one per send case): %v", len(findings), findings)
-	}
-	for _, f := range findings {
-		if !strings.Contains(f.Message, "only send cases") {
-			t.Errorf("message %q missing %q", f.Message, "only send cases")
-		}
-	}
-}
-
-func TestCtxflowStopReceiveClean(t *testing.T) {
-	findings, suppressed := runCheck(t, "ctxflow", map[string]string{
-		"a.go": `package fixture
-
-func Pool(jobs chan int, stop chan struct{}) {
-	go func() {
-		select {
-		case jobs <- 1:
-		case <-stop:
-			return
-		}
-	}()
-}
-`,
-	})
-	wantClean(t, findings, suppressed, 0)
-}
-
-func TestCtxflowDefaultClean(t *testing.T) {
-	findings, suppressed := runCheck(t, "ctxflow", map[string]string{
-		"a.go": `package fixture
-
-func Pool(results chan int) {
-	go func() {
-		select {
-		case results <- 1:
-		default:
-		}
-	}()
-}
-`,
-	})
-	wantClean(t, findings, suppressed, 0)
-}
-
-func TestCtxflowSendOutsideGoroutineClean(t *testing.T) {
-	findings, suppressed := runCheck(t, "ctxflow", map[string]string{
-		"a.go": `package fixture
-
-func Feed(jobs chan int) {
-	jobs <- 1
-}
-`,
-	})
-	wantClean(t, findings, suppressed, 0)
-}
-
-func TestCtxflowNestedGoIsItsOwnSite(t *testing.T) {
-	findings, _ := runCheck(t, "ctxflow", map[string]string{
-		"a.go": `package fixture
-
-func Pool(jobs chan int, stop chan struct{}) {
-	go func() {
-		go func() {
-			jobs <- 2
-		}()
-		select {
-		case jobs <- 1:
-		case <-stop:
-		}
-	}()
-}
-`,
-	})
-	wantOne(t, findings, 6, "bare channel send")
-}
-
-func TestCtxflowSuppressed(t *testing.T) {
-	findings, suppressed := runCheck(t, "ctxflow", map[string]string{
-		"a.go": `package fixture
-
-func Pool(sem chan struct{}) {
-	go func() {
-		//lint:allow ctxflow semaphore sized to the pool; send cannot block
-		sem <- struct{}{}
-	}()
 }
 `,
 	})

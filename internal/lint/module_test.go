@@ -9,9 +9,9 @@ import (
 )
 
 // TestModuleIsClean is the meta-test: the real module must lint clean.
-// Any new raw float comparison, dropped error, decode-path panic,
-// non-base-2 math in internal/core, or unguarded timing assertion fails
-// this test until fixed or explicitly annotated with //lint:allow.
+// Any new finding fails this test until fixed or explicitly annotated
+// with //lint:allow, and so does a //lint:allow entry naming a check that
+// suppresses nothing.
 func TestModuleIsClean(t *testing.T) {
 	if testutil.RaceEnabled {
 		// Type-checking the whole module from source is several times
@@ -37,15 +37,19 @@ func TestModuleIsClean(t *testing.T) {
 	if len(m.Packages) == 0 {
 		t.Fatal("no packages loaded")
 	}
-	findings, suppressed := m.Run(AllChecks())
+	checks := AllChecks()
+	findings, suppressed := m.Run(checks)
 	for _, f := range findings {
 		t.Errorf("%s", f)
 	}
 	if len(findings) > 0 {
 		t.Fatalf("module has %d unsuppressed lint findings (run cmd/pwrvet for details)", len(findings))
 	}
+	for _, a := range m.unusedAllows(checks) {
+		t.Errorf("%s: //lint:allow entry suppresses nothing; delete it", a)
+	}
 	if suppressed == 0 {
-		t.Error("expected some suppressed findings (the audited panics and base-study dispatch are annotated)")
+		t.Error("expected some suppressed findings (the audited narrowing conversions are annotated)")
 	}
 }
 

@@ -184,7 +184,7 @@ func (ix *StreamIndex) ParityK() int { return ix.Hdr.ParityK }
 // through the end of the payload.
 func (ix *StreamIndex) FrameExtent(i int) (off, end int64) {
 	off = ix.offsets[i]
-	//lint:allow wrapreach OpenIndex proved every Lens entry ≤ MaxFrameLen and tiling the file span, so frameLen cannot wrap
+	// OpenIndex proved every Lens entry ≤ MaxFrameLen and tiling the file span, so frameLen cannot wrap
 	return off, off + frameLen(ix.Lens[i])
 }
 
@@ -331,8 +331,8 @@ func fetchVerified(rs io.ReadSeeker, off, end int64, tag byte, want uint64, what
 	if _, err := rs.Seek(off, io.SeekStart); err != nil {
 		return nil, fmt.Errorf("streamfmt: seeking %s: %w", what, err)
 	}
-	//lint:allow allochot repair path is cold: it runs once per damaged frame, never on clean reads
-	//lint:allow limitreach extents come from an OpenIndex whose lengths passed the caller's Limits and the tiling proof — the bytes exist inside the container
+	// repair path is cold: it runs once per damaged frame, never on clean reads
+	// extents come from an OpenIndex whose lengths passed the caller's Limits and the tiling proof — the bytes exist inside the container
 	frame := make([]byte, end-off)
 	if _, err := io.ReadFull(rs, frame); err != nil {
 		return nil, readErr(err, what)

@@ -616,7 +616,7 @@ func (sr *Reader) readPayload(scratch []byte, n uint64) ([]byte, error) {
 			grab = step
 		}
 		lo := len(buf)
-		//lint:allow allochot geometric growth bounded by bytes actually read, not by the declared length
+		// geometric growth bounded by bytes actually read, not by the declared length
 		buf = append(buf, make([]byte, grab)...)
 		m, err := io.ReadFull(sr.br, buf[lo:])
 		sr.consumed += int64(m)

@@ -708,7 +708,7 @@ func decodeInts(r *bitio.Reader, data []uint64, maxprec, budget int) error {
 		if m < n {
 			// Truncated plane: deposit what we have and stop reading more
 			// of this plane (mirrors the encoder's continue).
-			//lint:allow decodebound x only has bits below size set, so this runs < size iterations
+			// x only has bits below size set, so this runs < size iterations
 			for i := 0; x != 0; i, x = i+1, x>>1 {
 				data[i] += (x & 1) << uint(k)
 			}
@@ -737,7 +737,7 @@ func decodeInts(r *bitio.Reader, data []uint64, maxprec, budget int) error {
 			x |= uint64(1) << uint(n)
 			n++
 		}
-		//lint:allow decodebound x only has bits below size set, so this runs < size iterations
+		// x only has bits below size set, so this runs < size iterations
 		for i := 0; x != 0; i, x = i+1, x>>1 {
 			data[i] += (x & 1) << uint(k)
 		}

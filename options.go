@@ -15,8 +15,8 @@ import (
 //		repro.WithParity(16), repro.WithMemoryBudget(64<<20))
 //
 // Options that a given entry point has no use for are ignored by it
-// (WithParity on a decode, WithFloat32 on DecompressAny); the pwrvet
-// optsflow check keeps the ones that matter — context and
+// (WithParity on a decode, WithFloat32 on DecompressAny); the ctx and
+// DecodeLimits test tables keep the ones that matter — context and
 // limits — from being silently dropped by future wrappers.
 
 // StreamConfig is the resolved configuration a []StreamOption builds.

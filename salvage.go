@@ -113,7 +113,7 @@ func DecompressStreamSalvage(r io.Reader, w io.Writer, limits *DecodeLimits) (_ 
 	emit := func(vals []float64) error {
 		need := len(vals) * 8
 		if cap(out) < need {
-			//lint:allow allochot grows once to the largest chunk, then reused across all chunks
+			// grows once to the largest chunk, then reused across all chunks
 			out = make([]byte, need)
 		}
 		out = out[:need]

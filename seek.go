@@ -265,7 +265,7 @@ func (h *StreamHandle) readRows(ctx context.Context, start, count uint64, outByt
 					// Single-frame damage in a parity container: the
 					// reader has already advanced past the bad frame, so
 					// keep fetching and repair after the sequential pass.
-					//lint:allow allochot repair bookkeeping only grows on damaged frames, never on clean reads
+					// repair bookkeeping only grows on damaged frames, never on clean reads
 					damaged = append(damaged, seq)
 					continue
 				}
@@ -276,7 +276,7 @@ func (h *StreamHandle) readRows(ctx context.Context, start, count uint64, outByt
 				allocated++ // the frame reader grew a fresh buffer
 			}
 			chunks++
-			//lint:allow allochot per-chunk descriptor; live descriptors are bounded by the in-flight cap
+			// per-chunk descriptor; live descriptors are bounded by the in-flight cap
 			jb := &seekJob{seq: seq, in: payload, buf: frame}
 			fl.enter()
 			select {
@@ -309,7 +309,7 @@ func (h *StreamHandle) readRows(ctx context.Context, start, count uint64, outByt
 			}
 			chunks++
 			repaired++
-			//lint:allow allochot per-repair descriptor on the cold path
+			// per-repair descriptor on the cold path
 			jb := &seekJob{seq: seq, in: payload, buf: payload}
 			fl.enter()
 			select {

@@ -264,7 +264,7 @@ func compressStream(cfg *StreamConfig, r io.Reader, w io.Writer, dims []int, rel
 			default:
 				if allocated < maxInFlight {
 					allocated++
-					//lint:allow allochot freelist fill: at most maxInFlight chunk buffers ever, the bounded-memory invariant
+					// freelist fill: at most maxInFlight chunk buffers ever, the bounded-memory invariant
 					data = make([]float64, chunkElems)
 				} else {
 					select {
@@ -291,7 +291,7 @@ func compressStream(cfg *StreamConfig, r io.Reader, w io.Writer, dims []int, rel
 				}
 			}
 			readWall += time.Since(t0)
-			//lint:allow allochot per-chunk descriptor; live descriptors are bounded by the in-flight cap
+			// per-chunk descriptor; live descriptors are bounded by the in-flight cap
 			jb := &streamJob{seq: seq, data: data, rows: n, done: make(chan struct{})}
 			fl.enter()
 			select {
@@ -564,7 +564,7 @@ func decompressStream(cfg *StreamConfig, r io.Reader, w io.Writer) (_ *StreamSta
 				allocated++ // streamfmt grew a fresh payload buffer
 			}
 			// The payload may alias scratch; hand ownership to the job.
-			//lint:allow allochot per-chunk descriptor; live descriptors are bounded by the in-flight cap
+			// per-chunk descriptor; live descriptors are bounded by the in-flight cap
 			jb := &streamJob{seq: seq, in: payload, rows: hdr.ChunkRowCount(seq), done: make(chan struct{})}
 			fl.enter()
 			select {
@@ -623,7 +623,7 @@ func decompressStream(cfg *StreamConfig, r io.Reader, w io.Writer) (_ *StreamSta
 		t0 := time.Now()
 		need := len(jb.dec) * elemSize
 		if cap(out) < need {
-			//lint:allow allochot grows once to the largest chunk, then reused across all chunks
+			// grows once to the largest chunk, then reused across all chunks
 			out = make([]byte, need)
 		}
 		out = out[:need]
