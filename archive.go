@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -87,9 +88,6 @@ func OpenArchive(buf []byte, opts ...StreamOption) (_ *ArchiveReader, err error)
 		}
 		r, err = openArchiveV2(buf, limits)
 	case archiveMagicV3:
-		if buf[1] != archiveV3Ver {
-			return nil, fmt.Errorf("%w: archive v3 version 0x%02x", ErrUnsupportedFormat, buf[1])
-		}
 		r, err = openArchiveV3(buf, limits)
 	default:
 		return nil, fmt.Errorf("%w: leading byte 0x%02x is not an archive", ErrUnsupportedFormat, buf[0])
@@ -282,58 +280,19 @@ func openArchiveV2(buf []byte, limits *DecodeLimits) (*ArchiveReader, error) {
 // buffer, verifying both trailer CRCs (directory and blob area) before
 // any blob is served — the whole-container trust model of v1/v2. The
 // random-access path over the same layout is OpenArchiveStream, which
-// verifies the directory CRC only and leans on the per-chunk CRCs of
-// the stream containers inside.
+// reads the directory the same way but leaves the blob-area CRC
+// unchecked, leaning on the per-chunk CRCs of the stream containers
+// inside.
 func openArchiveV3(buf []byte, limits *DecodeLimits) (*ArchiveReader, error) {
-	entries, area, err := parseArchiveV3(buf, limits, true)
+	entries, blobCRC, dirOff, err := readArchiveV3Dir(bytes.NewReader(buf), limits)
 	if err != nil {
 		return nil, err
 	}
-	return newArchiveReader(entries, area), nil
-}
-
-// parseArchiveV3 locates and verifies a v3 trailer + directory in buf
-// (magic and version already checked), returning the parsed entries and
-// the blob area. checkBlobCRC selects the whole-area checksum pass.
-func parseArchiveV3(buf []byte, limits *DecodeLimits, checkBlobCRC bool) ([]dirEntry, []byte, error) {
-	// Smallest valid container: magic, version, empty directory (one
-	// count byte), trailer.
-	if len(buf) < 2+1+archiveV3TrailerLen {
-		return nil, nil, fmt.Errorf("%w: %d-byte archive", ErrTruncated, len(buf))
-	}
-	trailer := buf[len(buf)-archiveV3TrailerLen:]
-	dirCRC := binary.BigEndian.Uint32(trailer[0:])
-	blobCRC := binary.BigEndian.Uint32(trailer[4:])
-	dirLen := binary.BigEndian.Uint64(trailer[8:])
-	if dirLen < 1 || dirLen > uint64(len(buf)-2-archiveV3TrailerLen) {
-		return nil, nil, fmt.Errorf("%w: archive directory of %d bytes in a %d-byte container",
-			ErrCorrupt, dirLen, len(buf))
-	}
-	dirOff := len(buf) - archiveV3TrailerLen - int(dirLen)
-	dir := buf[dirOff : len(buf)-archiveV3TrailerLen]
-	if crc32.ChecksumIEEE(dir) != dirCRC {
-		return nil, nil, fmt.Errorf("%w: archive directory checksum mismatch", ErrCorrupt)
-	}
-	count, off, err := readDirCount(dir, 0, 4, limits)
-	if err != nil {
-		return nil, nil, err
-	}
-	entries, off, err := parseDirEntries(dir, off, count, uint64(len(buf)), limits)
-	if err != nil {
-		return nil, nil, err
-	}
-	if off != len(dir) {
-		return nil, nil, fmt.Errorf("%w: %d trailing bytes in the %d-entry archive directory",
-			ErrCorrupt, len(dir)-off, count)
-	}
 	area := buf[2:dirOff]
-	if err := validateExtents(entries, uint64(len(area))); err != nil {
-		return nil, nil, err
+	if crc32.ChecksumIEEE(area) != blobCRC {
+		return nil, fmt.Errorf("%w: archive checksum mismatch", ErrCorrupt)
 	}
-	if checkBlobCRC && crc32.ChecksumIEEE(area) != blobCRC {
-		return nil, nil, fmt.Errorf("%w: archive checksum mismatch", ErrCorrupt)
-	}
-	return entries, area, nil
+	return newArchiveReader(entries, area), nil
 }
 
 // Fields returns the field names in archive order.

@@ -241,77 +241,92 @@ type ArchiveStream struct {
 // and become the defaults for every Field handle.
 func OpenArchiveStream(src io.ReadSeeker, opts ...StreamOption) (_ *ArchiveStream, err error) {
 	defer recoverDecode(&err)
-	cfg := resolveStreamConfig(opts)
-	limits := cfg.Limits
-	size, err := src.Seek(0, io.SeekEnd)
-	if err != nil {
-		return nil, fmt.Errorf("repro: seeking archive end: %w", err)
-	}
-	if size < 2+1+archiveV3TrailerLen {
-		return nil, fmt.Errorf("%w: %d-byte archive", ErrTruncated, size)
-	}
-	if _, err := src.Seek(0, io.SeekStart); err != nil {
-		return nil, fmt.Errorf("repro: seeking archive start: %w", err)
-	}
-	var head [2]byte
-	if _, err := io.ReadFull(src, head[:]); err != nil {
-		return nil, fmt.Errorf("repro: reading archive header: %w", err)
-	}
-	if head[0] != archiveMagicV3 {
-		return nil, fmt.Errorf("%w: leading byte 0x%02x is not a streaming archive", ErrUnsupportedFormat, head[0])
-	}
-	if head[1] != archiveV3Ver {
-		return nil, fmt.Errorf("%w: archive v3 version 0x%02x", ErrUnsupportedFormat, head[1])
-	}
-	var trailer [archiveV3TrailerLen]byte
-	if _, err := src.Seek(size-archiveV3TrailerLen, io.SeekStart); err != nil {
-		return nil, fmt.Errorf("repro: seeking archive trailer: %w", err)
-	}
-	if _, err := io.ReadFull(src, trailer[:]); err != nil {
-		return nil, fmt.Errorf("repro: reading archive trailer: %w", err)
-	}
-	dirCRC := binary.BigEndian.Uint32(trailer[0:])
-	dirLen := binary.BigEndian.Uint64(trailer[8:])
-	if dirLen < 1 || dirLen > uint64(size-2-archiveV3TrailerLen) {
-		return nil, fmt.Errorf("%w: archive directory of %d bytes in a %d-byte container",
-			ErrCorrupt, dirLen, size)
-	}
-	dirOff := size - archiveV3TrailerLen - int64(dirLen)
-	if _, err := src.Seek(dirOff, io.SeekStart); err != nil {
-		return nil, fmt.Errorf("repro: seeking archive directory: %w", err)
-	}
-	// The allocation is bounded by the container's real size, proven by
-	// the dirLen check above — the same discipline as the stream index
-	// window.
-	dir := make([]byte, dirLen)
-	if _, err := io.ReadFull(src, dir); err != nil {
-		return nil, fmt.Errorf("repro: reading archive directory: %w", err)
-	}
-	if crc32.ChecksumIEEE(dir) != dirCRC {
-		return nil, fmt.Errorf("%w: archive directory checksum mismatch", ErrCorrupt)
-	}
-	count, off, err := readDirCount(dir, 0, 4, limits)
+	entries, _, _, err := readArchiveV3Dir(src, resolveStreamConfig(opts).Limits)
 	if err != nil {
 		return nil, err
 	}
-	entries, off, err := parseDirEntries(dir, off, count, uint64(size), limits)
-	if err != nil {
-		return nil, err
-	}
-	if off != len(dir) {
-		return nil, fmt.Errorf("%w: %d trailing bytes in the %d-entry archive directory",
-			ErrCorrupt, len(dir)-off, count)
-	}
-	if err := validateExtents(entries, uint64(dirOff-2)); err != nil {
-		return nil, err
-	}
-	a := &ArchiveStream{src: src, opts: opts, extents: make(map[string]dirEntry, count)}
+	a := &ArchiveStream{src: src, opts: opts, extents: make(map[string]dirEntry, len(entries))}
 	for _, e := range entries {
 		a.names = append(a.names, e.name)
 		// Lift blob-area-relative offsets to absolute container offsets.
 		a.extents[e.name] = dirEntry{name: e.name, off: e.off + 2, len: e.len}
 	}
 	return a, nil
+}
+
+// readArchiveV3Dir reads a v3 archive's header, trailer and directory
+// from src, and no blob bytes. The directory must pass its CRC and the
+// structural validation (bounded count, unique names, extents inside
+// the blob area, no overlap). It returns the entries, with offsets
+// relative to the blob area, the blob-area CRC the trailer records, and
+// the directory's offset, where the blob area ends.
+func readArchiveV3Dir(src io.ReadSeeker, limits *DecodeLimits) ([]dirEntry, uint32, int64, error) {
+	size, err := src.Seek(0, io.SeekEnd)
+	if err != nil {
+		return nil, 0, 0, fmt.Errorf("repro: seeking archive end: %w", err)
+	}
+	// Smallest valid container: magic, version, empty directory (one
+	// count byte), trailer.
+	if size < 2+1+archiveV3TrailerLen {
+		return nil, 0, 0, fmt.Errorf("%w: %d-byte archive", ErrTruncated, size)
+	}
+	if _, err := src.Seek(0, io.SeekStart); err != nil {
+		return nil, 0, 0, fmt.Errorf("repro: seeking archive start: %w", err)
+	}
+	var head [2]byte
+	if _, err := io.ReadFull(src, head[:]); err != nil {
+		return nil, 0, 0, fmt.Errorf("repro: reading archive header: %w", err)
+	}
+	if head[0] != archiveMagicV3 {
+		return nil, 0, 0, fmt.Errorf("%w: leading byte 0x%02x is not a streaming archive", ErrUnsupportedFormat, head[0])
+	}
+	if head[1] != archiveV3Ver {
+		return nil, 0, 0, fmt.Errorf("%w: archive v3 version 0x%02x", ErrUnsupportedFormat, head[1])
+	}
+	var trailer [archiveV3TrailerLen]byte
+	if _, err := src.Seek(size-archiveV3TrailerLen, io.SeekStart); err != nil {
+		return nil, 0, 0, fmt.Errorf("repro: seeking archive trailer: %w", err)
+	}
+	if _, err := io.ReadFull(src, trailer[:]); err != nil {
+		return nil, 0, 0, fmt.Errorf("repro: reading archive trailer: %w", err)
+	}
+	dirCRC := binary.BigEndian.Uint32(trailer[0:])
+	blobCRC := binary.BigEndian.Uint32(trailer[4:])
+	dirLen := binary.BigEndian.Uint64(trailer[8:])
+	if dirLen < 1 || dirLen > uint64(size-2-archiveV3TrailerLen) {
+		return nil, 0, 0, fmt.Errorf("%w: archive directory of %d bytes in a %d-byte container",
+			ErrCorrupt, dirLen, size)
+	}
+	dirOff := size - archiveV3TrailerLen - int64(dirLen)
+	if _, err := src.Seek(dirOff, io.SeekStart); err != nil {
+		return nil, 0, 0, fmt.Errorf("repro: seeking archive directory: %w", err)
+	}
+	// The allocation is bounded by the container's real size, proven by
+	// the dirLen check above — the same discipline as the stream index
+	// window.
+	dir := make([]byte, dirLen)
+	if _, err := io.ReadFull(src, dir); err != nil {
+		return nil, 0, 0, fmt.Errorf("repro: reading archive directory: %w", err)
+	}
+	if crc32.ChecksumIEEE(dir) != dirCRC {
+		return nil, 0, 0, fmt.Errorf("%w: archive directory checksum mismatch", ErrCorrupt)
+	}
+	count, off, err := readDirCount(dir, 0, 4, limits)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	entries, off, err := parseDirEntries(dir, off, count, uint64(size), limits)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	if off != len(dir) {
+		return nil, 0, 0, fmt.Errorf("%w: %d trailing bytes in the %d-entry archive directory",
+			ErrCorrupt, len(dir)-off, count)
+	}
+	if err := validateExtents(entries, uint64(dirOff-2)); err != nil {
+		return nil, 0, 0, err
+	}
+	return entries, blobCRC, dirOff, nil
 }
 
 // Fields returns the field names in archive order.

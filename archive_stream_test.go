@@ -498,6 +498,17 @@ func TestArchiveStreamWriterMisuse(t *testing.T) {
 	if _, err := aw.AddField("bad", bytes.NewReader(nil), []int{0}, 1e-3, SZT); err == nil {
 		t.Error("invalid dims accepted")
 	}
+	for _, c := range []struct {
+		algo  Algorithm
+		bound float64
+	}{
+		{ZFPRATE, 1e-3}, {FPZIP32, 1e-3}, {Algorithm(77), 1e-3},
+		{SZT, 2}, {ZFPT, 0}, {ISABELA, -1},
+	} {
+		if _, err := aw.AddField("bad", bytes.NewReader(rawLE(f.Data)), f.Dims, c.bound, c.algo); err == nil {
+			t.Errorf("%v at bound %g accepted", c.algo, c.bound)
+		}
+	}
 	if _, err := aw.AddField("y", bytes.NewReader(rawLE(f.Data)), f.Dims, 1e-3, SZT); err != nil {
 		t.Fatalf("writer poisoned by pre-write validation failure: %v", err)
 	}

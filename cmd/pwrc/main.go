@@ -242,17 +242,12 @@ func main() {
 }
 
 func parseBase(s string) (*repro.Options, error) {
-	opts := &repro.Options{}
-	switch s {
-	case "2":
-	case "e":
-		opts.Base = repro.BaseE
-	case "10":
-		opts.Base = repro.Base10
-	default:
-		return nil, fmt.Errorf("unknown base %q", s)
+	for _, b := range []repro.LogBase{repro.Base2, repro.BaseE, repro.Base10} {
+		if b.String() == s {
+			return &repro.Options{Base: b}, nil
+		}
 	}
-	return opts, nil
+	return nil, fmt.Errorf("unknown base %q", s)
 }
 
 // streamFlagOptions translates the streaming CLI knobs into the shared
@@ -439,27 +434,18 @@ func streamSalvageFile(in, out string, lim *repro.DecodeLimits) {
 	}
 }
 
+// parseAlgo maps an -algo value to the algorithm whose name
+// (Algorithm.String) it spells, in any case and with or without the
+// underscore.
 func parseAlgo(s string) (repro.Algorithm, error) {
-	switch strings.ToLower(s) {
-	case "sz_t", "szt":
-		return repro.SZT, nil
-	case "zfp_t", "zfpt":
-		return repro.ZFPT, nil
-	case "sz_pwr", "szpwr":
-		return repro.SZPWR, nil
-	case "zfp_p", "zfpp":
-		return repro.ZFPP, nil
-	case "fpzip":
-		return repro.FPZIP, nil
-	case "isabela":
-		return repro.ISABELA, nil
-	case "sz_abs", "szabs":
-		return repro.SZABS, nil
-	case "zfp_acc", "zfpacc":
-		return repro.ZFPACC, nil
-	default:
-		return 0, fmt.Errorf("unknown algorithm %q", s)
+	want := strings.ToLower(s)
+	for a := repro.SZT; a <= repro.FPZIP32; a++ {
+		name := strings.ToLower(a.String())
+		if want == name || want == strings.ReplaceAll(name, "_", "") {
+			return a, nil
+		}
 	}
+	return 0, fmt.Errorf("unknown algorithm %q", s)
 }
 
 func parseDims(s string) ([]int, error) {

@@ -44,13 +44,13 @@ func goldenField() datagen.Field {
 	return datagen.NYX(8, 424242)[0]
 }
 
-// goldenCase describes one fixture. A legacy fixture's format has no
-// writer any more: make is a test-only builder, and TestGoldenDecode
-// asserts that it still reproduces the committed bytes exactly.
+// goldenCase describes one fixture: make rebuilds it from the golden
+// field, and TestGoldenDecode asserts that it still reproduces the
+// committed bytes exactly. The legacy parallel format has no writer any
+// more, so its make is a test-only builder.
 type goldenCase struct {
-	name   string
-	make   func(f datagen.Field) ([]byte, error)
-	legacy bool
+	name string
+	make func(f datagen.Field) ([]byte, error)
 }
 
 func goldenCases() []goldenCase {
@@ -71,7 +71,7 @@ func goldenCases() []goldenCase {
 		goldenCase{name: "zfp_acc", make: func(f datagen.Field) ([]byte, error) {
 			return CompressAbs(f.Data, f.Dims, 0.01, ZFPACC, nil)
 		}},
-		goldenCase{name: "parallel", legacy: true, make: func(f datagen.Field) ([]byte, error) {
+		goldenCase{name: "parallel", make: func(f datagen.Field) ([]byte, error) {
 			return buildParallelV1(f.Data, f.Dims, 1e-2, SZT, 3)
 		}},
 		goldenCase{name: "stream", make: func(f datagen.Field) ([]byte, error) {
@@ -137,9 +137,11 @@ func readManifest(t *testing.T) map[string]uint32 {
 	return out
 }
 
-// TestGoldenDecode is decode-only on the committed fixtures: every
-// fixture must still parse, decode to the recorded reconstruction
-// (CRC), and respect its bound against the deterministic source field.
+// TestGoldenDecode pins the committed fixtures both ways: every
+// fixture must still rebuild byte-identically from the golden field (a
+// writer whose output drifts fails even while the decoder still reads
+// the old bytes), parse, and decode to the recorded reconstruction
+// (CRC).
 func TestGoldenDecode(t *testing.T) {
 	f := goldenField()
 	if *updateGolden {
@@ -183,14 +185,12 @@ func TestGoldenDecode(t *testing.T) {
 			if err != nil {
 				t.Fatalf("fixture missing: %v", err)
 			}
-			if c.legacy {
-				built, err := c.make(f)
-				if err != nil {
-					t.Fatalf("legacy builder: %v", err)
-				}
-				if !bytes.Equal(built, buf) {
-					t.Fatalf("legacy builder no longer reproduces the committed fixture (%d vs %d bytes)", len(built), len(buf))
-				}
+			built, err := c.make(f)
+			if err != nil {
+				t.Fatalf("rebuilding the fixture: %v", err)
+			}
+			if !bytes.Equal(built, buf) {
+				t.Fatalf("writer drift: the fixture no longer rebuilds byte-identically (%d vs %d bytes)", len(built), len(buf))
 			}
 			dec, dims, err := DecompressAny(buf)
 			if err != nil {

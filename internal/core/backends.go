@@ -42,8 +42,8 @@ func (ZFPBackend) Decompress(buf []byte) ([]float64, []int, error) {
 	return zfp.Decompress(buf)
 }
 
-// DefaultResolve maps the built-in backend names for Decompress.
-func DefaultResolve(name string) Backend {
+// defaultResolve maps the built-in backend names for Decompress.
+func defaultResolve(name string) Backend {
 	switch name {
 	case "sz":
 		return SZBackend{}

@@ -63,6 +63,9 @@ func (b Base) String() string {
 	}
 }
 
+// valid reports whether b is one of the three bases the header records.
+func (b Base) valid() bool { return b == Base2 || b == BaseE || b == Base10 }
+
 func (b Base) log(x float64) float64 {
 	switch b {
 	case BaseE:
@@ -182,6 +185,9 @@ func Forward(data []float64, relBound float64, opts *Options) (*Transformed, err
 	}
 	opt := opts.withDefaults()
 	base := opt.Base
+	if !base.valid() {
+		return nil, fmt.Errorf("core: unknown log base %v", base)
+	}
 	n := len(data)
 
 	tr := &Transformed{
@@ -372,7 +378,7 @@ func ParseHeader(buf []byte) (*SideInfo, int, error) {
 	off := 4
 	base := Base(buf[off])
 	off++
-	if base != Base2 && base != BaseE && base != Base10 {
+	if !base.valid() {
 		return nil, 0, ErrCorrupt
 	}
 	flags := buf[off]
@@ -467,9 +473,9 @@ func Compress(data []float64, dims []int, relBound float64, backend Backend, opt
 	return append(out, inner...), nil
 }
 
-// Decompress inverts Compress. resolve maps a backend name from the
-// container to the Backend that can decode it.
-func Decompress(buf []byte, resolve func(name string) Backend) ([]float64, []int, error) {
+// Decompress inverts Compress, decoding the payload with the built-in
+// backend the container names.
+func Decompress(buf []byte) ([]float64, []int, error) {
 	si, off, err := ParseHeader(buf)
 	if err != nil {
 		return nil, nil, err
@@ -487,7 +493,7 @@ func Decompress(buf []byte, resolve func(name string) Backend) ([]float64, []int
 		return nil, nil, ErrCorrupt
 	}
 	off += k
-	backend := resolve(name)
+	backend := defaultResolve(name)
 	if backend == nil {
 		return nil, nil, fmt.Errorf("%w: %q", ErrUnknownBackend, name)
 	}

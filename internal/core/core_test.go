@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -100,7 +101,7 @@ func TestCompressSZT(t *testing.T) {
 		if err != nil {
 			t.Fatalf("rel %g: %v", rel, err)
 		}
-		dec, gotDims, err := Decompress(buf, DefaultResolve)
+		dec, gotDims, err := Decompress(buf)
 		if err != nil {
 			t.Fatalf("rel %g: %v", rel, err)
 		}
@@ -119,7 +120,7 @@ func TestCompressZFPT(t *testing.T) {
 		if err != nil {
 			t.Fatalf("rel %g: %v", rel, err)
 		}
-		dec, _, err := Decompress(buf, DefaultResolve)
+		dec, _, err := Decompress(buf)
 		if err != nil {
 			t.Fatalf("rel %g: %v", rel, err)
 		}
@@ -137,7 +138,7 @@ func TestMixedSignsWithZeros(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, _, err := Decompress(buf, DefaultResolve)
+	dec, _, err := Decompress(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +154,7 @@ func TestNaNInfPreserved(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, _, err := Decompress(buf, DefaultResolve)
+	dec, _, err := Decompress(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +169,7 @@ func TestAllBasesRespectBound(t *testing.T) {
 			if err != nil {
 				t.Fatalf("base %v backend %s: %v", base, backend.Name(), err)
 			}
-			dec, _, err := Decompress(buf, DefaultResolve)
+			dec, _, err := Decompress(buf)
 			if err != nil {
 				t.Fatalf("base %v backend %s: %v", base, backend.Name(), err)
 			}
@@ -236,7 +237,7 @@ func TestRoundoffGuardAblation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, _, err := Decompress(buf, DefaultResolve)
+	dec, _, err := Decompress(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +248,7 @@ func TestRoundoffGuardAblation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec2, _, err := Decompress(buf2, DefaultResolve)
+	dec2, _, err := Decompress(buf2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,17 +273,26 @@ func TestBadInputs(t *testing.T) {
 	if _, err := Forward([]float64{1}, math.NaN(), nil); err == nil {
 		t.Fatal("NaN bound accepted")
 	}
+	// The header records only bases 2, e and 10, so Compress must refuse
+	// any other rather than write a container Decompress calls corrupt.
+	if _, err := Compress([]float64{1, 2}, []int{2}, 0.1, SZBackend{}, &Options{Base: 7}); err == nil {
+		t.Fatal("base 7 accepted")
+	}
 }
+
+// unnamedBackend is SZ under a name Decompress does not know.
+type unnamedBackend struct{ SZBackend }
+
+func (unnamedBackend) Name() string { return "unnamed" }
 
 func TestDecompressUnknownBackend(t *testing.T) {
 	data := []float64{1, 2, 3, 4}
-	buf, err := Compress(data, []int{4}, 0.1, SZBackend{}, nil)
+	buf, err := Compress(data, []int{4}, 0.1, unnamedBackend{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = Decompress(buf, func(string) Backend { return nil })
-	if err == nil {
-		t.Fatal("unknown backend accepted")
+	if _, _, err = Decompress(buf); !errors.Is(err, ErrUnknownBackend) {
+		t.Fatalf("unknown backend: err = %v, want ErrUnknownBackend", err)
 	}
 }
 
@@ -293,7 +303,7 @@ func TestDecompressCorrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, cut := range []int{0, 4, 6, 20, len(buf) / 2} {
-		if _, _, err := Decompress(buf[:cut], DefaultResolve); err == nil {
+		if _, _, err := Decompress(buf[:cut]); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}
@@ -301,7 +311,7 @@ func TestDecompressCorrupt(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		mut := append([]byte(nil), buf...)
 		mut[rng.Intn(len(mut))] ^= byte(1 << rng.Intn(8))
-		_, _, _ = Decompress(mut, DefaultResolve) // must not panic
+		_, _, _ = Decompress(mut) // must not panic
 	}
 }
 
@@ -325,7 +335,7 @@ func TestQuickPWRBoundInvariantSZT(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		dec, _, err := Decompress(buf, DefaultResolve)
+		dec, _, err := Decompress(buf)
 		if err != nil || len(dec) != n {
 			return false
 		}

@@ -33,7 +33,7 @@ func TestTableII(t *testing.T) {
 				dev := (res.Ratio[fi][bi][baseIdx] - base2) / base2
 				if dev > 0.15 || dev < -0.15 {
 					t.Fatalf("%s at %g: base %s deviates %.1f%%",
-						res.Fields[fi], res.Bounds[bi], baseName(Bases[baseIdx]), dev*100)
+						res.Fields[fi], res.Bounds[bi], Bases[baseIdx], dev*100)
 				}
 			}
 		}

@@ -17,17 +17,6 @@ var TableIIBounds = []float64{1e-4, 1e-3, 1e-2, 0.1, 0.2, 0.3}
 // Bases are the three logarithm bases of the base study.
 var Bases = []repro.LogBase{repro.Base2, repro.BaseE, repro.Base10}
 
-func baseName(b repro.LogBase) string {
-	switch b {
-	case repro.BaseE:
-		return "e"
-	case repro.Base10:
-		return "10"
-	default:
-		return "2"
-	}
-}
-
 // TableIIResult is the compression ratio of SZ_T per (field, bound, base).
 type TableIIResult struct {
 	Fields []string
@@ -112,7 +101,7 @@ func TableIII(cfg Config) (*TableIIIResult, error) {
 		res.Fields = append(res.Fields, f.Name)
 		var pre, post []float64
 		for _, base := range Bases {
-			opts := &core.Options{Base: coreBase(base)}
+			opts := &core.Options{Base: base}
 			var preBest, postBest time.Duration
 			for rep := 0; rep < reps; rep++ {
 				t0 := time.Now()
@@ -146,17 +135,6 @@ func TableIII(cfg Config) (*TableIIIResult, error) {
 		res.PostSeconds = append(res.PostSeconds, post)
 	}
 	return res, nil
-}
-
-func coreBase(b repro.LogBase) core.Base {
-	switch b {
-	case repro.BaseE:
-		return core.BaseE
-	case repro.Base10:
-		return core.Base10
-	default:
-		return core.Base2
-	}
 }
 
 // Print renders Table III.

@@ -200,18 +200,7 @@ func decompressParallel(cfg *StreamConfig, buf []byte) ([]float64, []int, error)
 	decs := make([][]float64, chunks)
 	errs := make([]error, chunks)
 	runPool(ctx, workers, chunks, func(c int) {
-		dec, subDims, err := Decompress(chunkBufs[c])
-		if err != nil {
-			errs[c] = err
-			return
-		}
-		wantRows := starts[c+1] - starts[c]
-		if len(subDims) != len(dims) || subDims[0] != wantRows || len(dec) != wantRows*rowStride {
-			errs[c] = fmt.Errorf("%w: chunk decoded to shape %v, want %d rows of stride %d",
-				ErrCorrupt, subDims, wantRows, rowStride)
-			return
-		}
-		decs[c] = dec
+		decs[c], errs[c] = decodeChunk(chunkBufs[c], starts[c+1]-starts[c], dims)
 	})
 	if err := ctx.Err(); err != nil {
 		return nil, nil, ctxCause(ctx)

@@ -66,30 +66,10 @@ const (
 
 // String returns the paper's name for the algorithm.
 func (a Algorithm) String() string {
-	switch a {
-	case SZT:
-		return "SZ_T"
-	case ZFPT:
-		return "ZFP_T"
-	case SZABS:
-		return "SZ_ABS"
-	case SZPWR:
-		return "SZ_PWR"
-	case ZFPACC:
-		return "ZFP_ACC"
-	case ZFPP:
-		return "ZFP_P"
-	case FPZIP:
-		return "FPZIP"
-	case ISABELA:
-		return "ISABELA"
-	case ZFPRATE:
-		return "ZFP_RATE"
-	case FPZIP32:
-		return "FPZIP32"
-	default:
-		return fmt.Sprintf("Algorithm(%d)", byte(a))
+	if c := codecFor(a); c != nil {
+		return c.name
 	}
+	return fmt.Sprintf("Algorithm(%d)", byte(a))
 }
 
 // RelativeAlgorithms lists the compressors that accept a point-wise
@@ -98,28 +78,18 @@ func RelativeAlgorithms() []Algorithm {
 	return []Algorithm{ISABELA, FPZIP, SZPWR, SZT, ZFPP, ZFPT}
 }
 
-// LogBase selects the transform's logarithm base for SZT/ZFPT.
-type LogBase int
+// LogBase selects the transform's logarithm base for SZT/ZFPT; its
+// String method prints 2, e or 10.
+type LogBase = core.Base
 
 const (
 	// Base2 is the default and the paper's recommendation.
-	Base2 LogBase = iota
+	Base2 = core.Base2
 	// BaseE uses natural logarithms (base study only).
-	BaseE
+	BaseE = core.BaseE
 	// Base10 uses decimal logarithms (base study only).
-	Base10
+	Base10 = core.Base10
 )
-
-func (b LogBase) core() core.Base {
-	switch b {
-	case BaseE:
-		return core.BaseE
-	case Base10:
-		return core.Base10
-	default:
-		return core.Base2
-	}
-}
 
 // Options tunes the compressors; the zero value (or nil) selects the
 // defaults used in the paper's evaluation.
@@ -130,15 +100,6 @@ type Options struct {
 	Intervals int
 	// BlockSide is SZ_PWR's block edge length (default 8).
 	BlockSide int
-	// ZFPPrecision is the bit-plane count for ZFPP. When 0 it is derived
-	// from the relative bound as ceil(log2(1/b_r)) + 10 (a practical
-	// setting comparable to the paper's per-field tuned -p values).
-	ZFPPrecision int
-	// FPZIPPrecision overrides FPZIP's precision; when 0 it is derived
-	// from the relative bound so the bound is guaranteed.
-	FPZIPPrecision int
-	// ISABELAWindow and ISABELACoeffs tune ISABELA (defaults 1024 / 30).
-	ISABELAWindow, ISABELACoeffs int
 	// DisableRoundoffGuard removes Lemma 2's round-off adjustment in the
 	// transform scheme (ablation only).
 	DisableRoundoffGuard bool
@@ -155,20 +116,136 @@ func (o *Options) coreOpts() *core.Options {
 	if o == nil {
 		return nil
 	}
-	return &core.Options{Base: o.Base.core(), DisableRoundoffGuard: o.DisableRoundoffGuard}
+	return &core.Options{Base: o.Base, DisableRoundoffGuard: o.DisableRoundoffGuard}
 }
 
-func (o *Options) isabelaOpts() *isabela.Options {
-	if o == nil {
-		return nil
+// boundKind is the kind of bound an algorithm's compressor takes, which
+// fixes the entry point that accepts it.
+type boundKind byte
+
+const (
+	boundRel  boundKind = iota // point-wise relative, in (0,1): Compress and the stream writers
+	boundAbs                   // absolute: CompressAbs
+	boundRate                  // bits per value, no error bound: CompressFixedRate
+	boundF32                   // point-wise relative over float32 data: Compress32
+)
+
+// takes names each bound kind and its entry point, for admission errors.
+var takes = [...]string{
+	boundRel:  "a point-wise relative bound; use Compress",
+	boundAbs:  "an absolute bound; use CompressAbs",
+	boundRate: "bits per value; use CompressFixedRate",
+	boundF32:  "float32 data; use Compress32",
+}
+
+// codec is one algorithm's row of the codecs table.
+type codec struct {
+	name  string // the paper's name
+	bound boundKind
+	// The decode guarantees WithVerifyOnWrite asserts (NaN and ±Inf
+	// survive every algorithm). keepsZeros: exact zeros decode to exact
+	// zeros. holdsBound: every finite normal value decodes within the
+	// point-wise relative bound the compressor took; false for ZFP_P,
+	// which only aims at it.
+	keepsZeros, holdsBound bool
+	// compress encodes data under bound into the inner stream a plain
+	// container wraps. FPZIP32 has none: Compress32 encodes its
+	// float32s directly.
+	compress func(data []float64, dims []int, bound float64, opts *Options) ([]byte, error)
+	// decompress decodes an inner stream.
+	decompress func(inner []byte) ([]float64, []int, error)
+}
+
+// codecs holds every algorithm's facts, indexed by Algorithm: String,
+// the Compress* entry points, Decompress, the stream writers' admission
+// check and WithVerifyOnWrite all read them here. Its rows are function
+// values rather than implementations of an interface, so a wrapper
+// around one algorithm replaces two fields.
+var codecs = [...]codec{
+	SZT: {"SZ_T", boundRel, true, true,
+		func(data []float64, dims []int, b float64, o *Options) ([]byte, error) {
+			return core.Compress(data, dims, b, core.SZBackend{Opts: o.szOpts()}, o.coreOpts())
+		}, core.Decompress},
+	ZFPT: {"ZFP_T", boundRel, true, true,
+		func(data []float64, dims []int, b float64, o *Options) ([]byte, error) {
+			return core.Compress(data, dims, b, core.ZFPBackend{}, o.coreOpts())
+		}, core.Decompress},
+	SZABS: {"SZ_ABS", boundAbs, false, false,
+		func(data []float64, dims []int, b float64, o *Options) ([]byte, error) {
+			return sz.CompressAbs(data, dims, b, o.szOpts())
+		}, sz.Decompress},
+	SZPWR: {"SZ_PWR", boundRel, false, true,
+		func(data []float64, dims []int, b float64, o *Options) ([]byte, error) {
+			return sz.CompressPWR(data, dims, b, o.szOpts())
+		}, sz.Decompress},
+	ZFPACC: {"ZFP_ACC", boundAbs, false, false,
+		func(data []float64, dims []int, b float64, _ *Options) ([]byte, error) {
+			return zfp.CompressAccuracy(data, dims, b)
+		}, zfp.Decompress},
+	ZFPP: {"ZFP_P", boundRel, false, false,
+		func(data []float64, dims []int, b float64, _ *Options) ([]byte, error) {
+			// The paper's per-bound setting: enough bit planes that typical
+			// data lands near the bound, without guaranteeing it.
+			p := int(math.Ceil(math.Log2(1/b))) + 10
+			return zfp.CompressPrecision(data, dims, max(1, min(p, 64)))
+		}, zfp.Decompress},
+	FPZIP: {"FPZIP", boundRel, true, true,
+		func(data []float64, dims []int, b float64, _ *Options) ([]byte, error) {
+			p, err := fpzip.PrecisionForRelBound(b)
+			if err != nil {
+				return nil, err
+			}
+			return fpzip.Compress(data, dims, p)
+		}, fpzip.Decompress},
+	ISABELA: {"ISABELA", boundRel, true, true,
+		func(data []float64, dims []int, b float64, _ *Options) ([]byte, error) {
+			return isabela.Compress(data, dims, b, nil)
+		}, isabela.Decompress},
+	ZFPRATE: {"ZFP_RATE", boundRate, false, false,
+		func(data []float64, dims []int, b float64, _ *Options) ([]byte, error) {
+			return zfp.CompressRate(data, dims, b)
+		}, zfp.Decompress},
+	FPZIP32: {"FPZIP32", boundF32, true, true, nil,
+		func(inner []byte) ([]float64, []int, error) {
+			f32, dims, err := fpzip.Decompress32(inner)
+			if err != nil {
+				return nil, nil, err
+			}
+			return widen(f32), dims, nil
+		}},
+}
+
+// codecFor returns algo's row of the codecs table, or nil for a value
+// that names no algorithm.
+func codecFor(algo Algorithm) *codec {
+	if int(algo) < len(codecs) && codecs[algo].name != "" {
+		return &codecs[algo]
 	}
-	return &isabela.Options{Window: o.ISABELAWindow, Coeffs: o.ISABELACoeffs}
+	return nil
 }
 
-// ErrNeedsAbsolute reports a relative bound passed to an
-// absolute-bound-only algorithm (or vice versa). The decode-error
-// sentinels (ErrCorrupted, ErrTruncated, ErrLimitExceeded,
-// ErrUnsupportedFormat) live in errors.go.
+// admit resolves algo's codec and checks that it takes a bound of the
+// given kind; a relative bound must also lie in (0,1). The stream
+// writers call it before they emit a byte.
+func admit(algo Algorithm, kind boundKind, bound float64) (*codec, error) {
+	c := codecFor(algo)
+	switch {
+	case c == nil:
+		return nil, fmt.Errorf("repro: unknown algorithm %v", algo)
+	case c.bound == boundAbs && kind == boundRel:
+		return nil, ErrNeedsAbsolute
+	case c.bound != kind:
+		return nil, fmt.Errorf("repro: %v takes %s", algo, takes[c.bound])
+	case kind == boundRel && !(bound > 0 && bound < 1):
+		return nil, fmt.Errorf("repro: relative bound %v out of (0,1)", bound)
+	}
+	return c, nil
+}
+
+// ErrNeedsAbsolute reports a relative bound passed to an algorithm that
+// takes an absolute one (SZ_ABS, ZFP_ACC). The decode-error sentinels
+// (ErrCorrupted, ErrTruncated, ErrLimitExceeded, ErrUnsupportedFormat)
+// live in errors.go.
 var ErrNeedsAbsolute = errors.New("repro: algorithm takes an absolute bound; use CompressAbs")
 
 const containerMagic = 0xC5
@@ -176,92 +253,30 @@ const containerMagic = 0xC5
 // Compress encodes data under the point-wise relative error bound relBound
 // (in (0,1); e.g. 0.01 keeps every value within 1% of the original).
 func Compress(data []float64, dims []int, relBound float64, algo Algorithm, opts *Options) ([]byte, error) {
-	if err := grid.Validate(dims, len(data)); err != nil {
-		return nil, err
-	}
-	var inner []byte
-	var err error
-	switch algo {
-	case SZT:
-		inner, err = core.Compress(data, dims, relBound, core.SZBackend{Opts: opts.szOpts()}, opts.coreOpts())
-	case ZFPT:
-		inner, err = core.Compress(data, dims, relBound, core.ZFPBackend{}, opts.coreOpts())
-	case SZPWR:
-		inner, err = sz.CompressPWR(data, dims, relBound, opts.szOpts())
-	case ZFPP:
-		p := 0
-		if opts != nil {
-			p = opts.ZFPPrecision
-		}
-		if p == 0 {
-			p, err = zfpPrecisionFor(relBound)
-			if err != nil {
-				return nil, err
-			}
-		}
-		inner, err = zfp.CompressPrecision(data, dims, p)
-	case FPZIP:
-		p := 0
-		if opts != nil {
-			p = opts.FPZIPPrecision
-		}
-		if p == 0 {
-			p, err = fpzip.PrecisionForRelBound(relBound)
-			if err != nil {
-				return nil, err
-			}
-		}
-		inner, err = fpzip.Compress(data, dims, p)
-	case ISABELA:
-		inner, err = isabela.Compress(data, dims, relBound, opts.isabelaOpts())
-	case SZABS, ZFPACC:
-		return nil, ErrNeedsAbsolute
-	default:
-		return nil, fmt.Errorf("repro: unknown algorithm %v", algo)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return wrap(algo, inner), nil
+	return encode(boundRel, data, dims, relBound, algo, opts)
 }
 
 // CompressAbs encodes data under an absolute error bound using SZABS or
 // ZFPACC.
 func CompressAbs(data []float64, dims []int, absBound float64, algo Algorithm, opts *Options) ([]byte, error) {
+	return encode(boundAbs, data, dims, absBound, algo, opts)
+}
+
+// encode validates the geometry, admits algo for a bound of the given
+// kind, and wraps what its compressor writes.
+func encode(kind boundKind, data []float64, dims []int, bound float64, algo Algorithm, opts *Options) ([]byte, error) {
 	if err := grid.Validate(dims, len(data)); err != nil {
 		return nil, err
 	}
-	var inner []byte
-	var err error
-	switch algo {
-	case SZABS:
-		inner, err = sz.CompressAbs(data, dims, absBound, opts.szOpts())
-	case ZFPACC:
-		inner, err = zfp.CompressAccuracy(data, dims, absBound)
-	default:
-		return nil, fmt.Errorf("repro: %v does not take an absolute bound", algo)
+	c, err := admit(algo, kind, bound)
+	if err != nil {
+		return nil, err
 	}
+	inner, err := c.compress(data, dims, bound, opts)
 	if err != nil {
 		return nil, err
 	}
 	return wrap(algo, inner), nil
-}
-
-// zfpPrecisionFor mirrors the paper's per-bound ZFP_P parameter choice:
-// enough planes that typical data lands near the requested relative error,
-// without guaranteeing it (the mode's documented deficiency).
-func zfpPrecisionFor(relBound float64) (int, error) {
-	if !(relBound > 0) || relBound >= 1 {
-		return 0, fmt.Errorf("repro: relative bound %v out of (0,1)", relBound)
-	}
-	p := int(math.Ceil(math.Log2(1/relBound))) + 10
-	if p > 64 {
-		p = 64
-	}
-	if p < 1 {
-		p = 1
-	}
-	return p, nil
 }
 
 // CompressValueRange encodes data under a *value-range relative* bound:
@@ -303,14 +318,7 @@ func CompressValueRange(data []float64, dims []int, ratio float64, algo Algorith
 // using ZFP's fixed-rate mode. No error bound is guaranteed; use it for
 // fixed-budget storage or the rate-distortion sweeps of Figure 1.
 func CompressFixedRate(data []float64, dims []int, bitsPerValue float64) ([]byte, error) {
-	if err := grid.Validate(dims, len(data)); err != nil {
-		return nil, err
-	}
-	inner, err := zfp.CompressRate(data, dims, bitsPerValue)
-	if err != nil {
-		return nil, err
-	}
-	return wrap(ZFPRATE, inner), nil
+	return encode(boundRate, data, dims, bitsPerValue, ZFPRATE, nil)
 }
 
 // wrap frames an inner stream as [magic | algo | crc32(inner) | inner].
@@ -326,42 +334,22 @@ func wrap(algo Algorithm, inner []byte) []byte {
 // Decompress decodes any stream produced by Compress or CompressAbs.
 func Decompress(buf []byte) (_ []float64, _ []int, err error) {
 	defer recoverDecode(&err)
-	if len(buf) >= 1 && buf[0] != containerMagic {
-		return nil, nil, fmt.Errorf("%w: leading byte 0x%02x", ErrUnsupportedFormat, buf[0])
+	algo, err := AlgorithmOf(buf)
+	if err != nil {
+		return nil, nil, err
 	}
 	if len(buf) < 6 {
 		return nil, nil, fmt.Errorf("%w (plain container header)", ErrTruncated)
 	}
-	algo := Algorithm(buf[1])
 	inner := buf[6:]
 	if crc32.ChecksumIEEE(inner) != binary.BigEndian.Uint32(buf[2:6]) {
 		return nil, nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
 	}
-	var data []float64
-	var dims []int
-	switch algo {
-	case SZT, ZFPT:
-		data, dims, err = core.Decompress(inner, core.DefaultResolve)
-	case SZABS, SZPWR:
-		data, dims, err = sz.Decompress(inner)
-	case ZFPACC, ZFPP, ZFPRATE:
-		data, dims, err = zfp.Decompress(inner)
-	case FPZIP:
-		data, dims, err = fpzip.Decompress(inner)
-	case FPZIP32:
-		var f32 []float32
-		f32, dims, err = fpzip.Decompress32(inner)
-		if err == nil {
-			data = make([]float64, len(f32))
-			for i, v := range f32 {
-				data[i] = float64(v)
-			}
-		}
-	case ISABELA:
-		data, dims, err = isabela.Decompress(inner)
-	default:
+	c := codecFor(algo)
+	if c == nil {
 		return nil, nil, fmt.Errorf("%w: algorithm byte %d", ErrCorrupt, buf[1])
 	}
+	data, dims, err := c.decompress(inner)
 	if err != nil {
 		// The container CRC covers the payload but not the algo byte, so
 		// a payload the named codec rejects means the container itself is
@@ -387,48 +375,23 @@ func AlgorithmOf(buf []byte) (Algorithm, error) {
 // layout (the paper's exact -p settings, and fewer mantissa bits to code);
 // every other algorithm widens to float64 with unchanged bound semantics.
 func Compress32(data []float32, dims []int, relBound float64, algo Algorithm, opts *Options) ([]byte, error) {
-	if algo == FPZIP || algo == FPZIP32 {
-		p := 0
-		if opts != nil {
-			p = opts.FPZIPPrecision
-		}
-		if p == 0 {
-			var err error
-			p, err = fpzip.PrecisionForRelBound32(relBound)
-			if err != nil {
-				return nil, err
-			}
-		}
-		inner, err := fpzip.Compress32(data, dims, p)
-		if err != nil {
-			return nil, err
-		}
-		return wrap(FPZIP32, inner), nil
+	if algo != FPZIP && algo != FPZIP32 {
+		return Compress(widen(data), dims, relBound, algo, opts)
 	}
-	wide := make([]float64, len(data))
-	for i, v := range data {
-		wide[i] = float64(v)
+	p, err := fpzip.PrecisionForRelBound32(relBound)
+	if err != nil {
+		return nil, err
 	}
-	return Compress(wide, dims, relBound, algo, opts)
+	inner, err := fpzip.Compress32(data, dims, p)
+	if err != nil {
+		return nil, err
+	}
+	return wrap(FPZIP32, inner), nil
 }
 
-// Decompress32 decodes into float32s.
-func Decompress32(buf []byte) (_ []float32, _ []int, err error) {
-	defer recoverDecode(&err)
-	if algo, err := AlgorithmOf(buf); err == nil && algo == FPZIP32 {
-		if len(buf) < 6 {
-			return nil, nil, fmt.Errorf("%w (plain container header)", ErrTruncated)
-		}
-		inner := buf[6:]
-		if crc32.ChecksumIEEE(inner) != binary.BigEndian.Uint32(buf[2:6]) {
-			return nil, nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
-		}
-		f32, dims, err := fpzip.Decompress32(inner)
-		if err != nil {
-			return nil, nil, fmt.Errorf("%w: %v payload: %w", ErrCorrupt, FPZIP32, err)
-		}
-		return f32, dims, nil
-	}
+// Decompress32 decodes into float32s, narrowing what Decompress
+// returns (exactly, for FPZIP32).
+func Decompress32(buf []byte) ([]float32, []int, error) {
 	wide, dims, err := Decompress(buf)
 	if err != nil {
 		return nil, nil, err
@@ -438,4 +401,13 @@ func Decompress32(buf []byte) (_ []float32, _ []int, err error) {
 		out[i] = float32(v)
 	}
 	return out, dims, nil
+}
+
+// widen converts float32s to float64s, exactly.
+func widen(f32 []float32) []float64 {
+	out := make([]float64, len(f32))
+	for i, v := range f32 {
+		out[i] = float64(v)
+	}
+	return out
 }

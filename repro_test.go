@@ -106,11 +106,9 @@ func TestOptionsPlumbed(t *testing.T) {
 	f := testField(t)
 	// Non-default options must still round-trip within bound.
 	opts := &Options{
-		Base:          Base10,
-		Intervals:     1024,
-		BlockSide:     16,
-		ISABELAWindow: 256,
-		ISABELACoeffs: 12,
+		Base:      Base10,
+		Intervals: 1024,
+		BlockSide: 16,
 	}
 	for _, algo := range []Algorithm{SZT, SZPWR, ISABELA} {
 		buf, err := Compress(f.Data, f.Dims, 0.05, algo, opts)
@@ -170,12 +168,26 @@ func TestDecompressGarbage(t *testing.T) {
 
 func TestAlgorithmStrings(t *testing.T) {
 	names := map[Algorithm]string{
+		0:   "Algorithm(0)",
 		SZT: "SZ_T", ZFPT: "ZFP_T", SZABS: "SZ_ABS", SZPWR: "SZ_PWR",
 		ZFPACC: "ZFP_ACC", ZFPP: "ZFP_P", FPZIP: "FPZIP", ISABELA: "ISABELA",
+		ZFPRATE: "ZFP_RATE", FPZIP32: "FPZIP32",
+		11: "Algorithm(11)",
 	}
 	for a, want := range names {
 		if a.String() != want {
-			t.Errorf("%d.String() = %q, want %q", a, a.String(), want)
+			t.Errorf("%d.String() = %q, want %q", byte(a), a.String(), want)
+		}
+	}
+	// RelativeAlgorithms lists exactly the codecs table's relative rows.
+	rel := map[Algorithm]bool{}
+	for _, a := range RelativeAlgorithms() {
+		rel[a] = true
+	}
+	for a := range codecs {
+		if c := codecFor(Algorithm(a)); c != nil && (c.bound == boundRel) != rel[Algorithm(a)] {
+			t.Errorf("%v: relative bound %v in the codecs table, listed %v by RelativeAlgorithms",
+				Algorithm(a), c.bound == boundRel, rel[Algorithm(a)])
 		}
 	}
 }

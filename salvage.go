@@ -135,15 +135,11 @@ func DecompressStreamSalvage(r io.Reader, w io.Writer, limits *DecodeLimits) (_ 
 		rows := hdr.ChunkRowCount(i)
 		var dec []float64
 		if f.Payload != nil {
-			d, subDims, derr := Decompress(f.Payload)
-			switch {
-			case derr != nil:
-				f.Damaged, f.Reason = true, fmt.Sprintf("payload does not decode: %v", derr)
-			case len(subDims) == 0 || subDims[0] != rows || len(d) != rows*rowStride:
-				f.Damaged, f.Reason = true, fmt.Sprintf("payload decodes to shape %v, want %d rows of stride %d", subDims, rows, rowStride)
-			default:
-				dec = d
+			d, derr := decodeChunk(f.Payload, rows, hdr.Dims)
+			if derr != nil {
+				f.Damaged, f.Reason = true, derr.Error()
 			}
+			dec = d
 		}
 		if dec != nil {
 			rep.Recovered++

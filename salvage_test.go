@@ -2,6 +2,8 @@ package repro
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"math"
 	"testing"
 
@@ -196,4 +198,74 @@ func TestSalvageDoubleDamageWithIndex(t *testing.T) {
 		t.Fatalf("LostBytes = %v, want two separate damaged regions", rep.LostBytes)
 	}
 	checkRegions(t, rep, got, clean, 4)
+}
+
+// TestSalvageChunkShapeMismatch pins that every chunked reader checks a
+// decoded chunk's full shape against the header, not just its row count
+// and element count: a chunk with the right number of elements but the
+// wrong trailing dims is damage, in salvage and in the legacy 0xC6
+// reader as much as in the strict stream readers.
+func TestSalvageChunkShapeMismatch(t *testing.T) {
+	defer testutil.NoLeak(t)()
+	data := make([]float64, 48)
+	for i := range data {
+		data[i] = float64(i + 1)
+	}
+
+	// (a) A stream container whose header says [4,6] in chunks of two
+	// rows, but whose chunks are [2,2,3] streams: 12 elements each, the
+	// element count the header expects, in the wrong shape.
+	var sb bytes.Buffer
+	sw, err := streamfmt.NewWriter(&sb, streamfmt.Header{Algo: byte(SZT), Dims: []int{4, 6}, ChunkRows: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for c := 0; c < 2; c++ {
+		payload, err := Compress(data[c*12:(c+1)*12], []int{2, 2, 3}, 1e-2, SZT, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sw.WriteChunk(payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sw.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	buf := sb.Bytes()
+	if _, err := DecompressStreamOpts(bytes.NewReader(buf), io.Discard); !errors.Is(err, ErrCorrupted) {
+		t.Errorf("DecompressStreamOpts: err = %v, want ErrCorrupted", err)
+	}
+	h, err := OpenStream(bytes.NewReader(buf))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.ReadRows(make([]float64, 24), 0, 4); !errors.Is(err, ErrCorrupted) {
+		t.Errorf("ReadRows: err = %v, want ErrCorrupted", err)
+	}
+	rep, out := salvage(t, buf)
+	if rep.Recovered != 0 || rep.Lost() != 2 {
+		t.Errorf("salvage: Recovered=%d Lost=%d, want both chunks lost", rep.Recovered, rep.Lost())
+	}
+	for i, v := range fromLE(out) {
+		if !math.IsNaN(v) {
+			t.Errorf("salvage output element %d = %v, want NaN fill", i, v)
+			break
+		}
+	}
+
+	// (b) A legacy 0xC6 container over [4,3,4] whose header dims are
+	// patched to [4,4,3]: same rank, rows and stride, other trailing dims.
+	par, err := buildParallelV1(data, []int{4, 3, 4}, 1e-2, SZT, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// magic, algo, rank, then one uvarint byte per dim.
+	if par[3] != 4 || par[4] != 3 || par[5] != 4 {
+		t.Fatalf("unexpected 0xC6 header % x", par[:6])
+	}
+	par[4], par[5] = 4, 3
+	if dec, dims, err := DecompressAny(par); !errors.Is(err, ErrCorrupted) {
+		t.Errorf("0xC6 with patched dims: got dims %v (%d elements), err = %v; want ErrCorrupted", dims, len(dec), err)
+	}
 }

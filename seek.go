@@ -349,22 +349,10 @@ func (h *StreamHandle) decodeOne(jb *seekJob, start, count, stride, chunkRows ui
 		return
 	default:
 	}
-	hdr := &h.ix.Hdr
-	rows := hdr.ChunkRowCount(jb.seq)
+	rows := h.ix.Hdr.ChunkRowCount(jb.seq)
 	t0 := time.Now()
-	dec, subDims, err := Decompress(jb.in)
+	dec, err := decodeChunk(jb.in, rows, h.ix.Hdr.Dims)
 	codecNS.Add(time.Since(t0).Nanoseconds())
-	if err == nil {
-		if len(subDims) != len(hdr.Dims) || subDims[0] != rows || uint64(len(dec)) != uint64(rows)*stride {
-			err = fmt.Errorf("%w: chunk %d decoded to shape %v, want %d rows of stride %d",
-				ErrCorrupted, jb.seq, subDims, rows, stride)
-		}
-		for i := 1; err == nil && i < len(hdr.Dims); i++ {
-			if subDims[i] != hdr.Dims[i] {
-				err = fmt.Errorf("%w: chunk %d dims %v disagree with field %v", ErrCorrupted, jb.seq, subDims, hdr.Dims)
-			}
-		}
-	}
 	if err != nil {
 		fail(fmt.Errorf("chunk %d: %w", jb.seq, err))
 		return

@@ -165,8 +165,8 @@ func compressStream(cfg *StreamConfig, r io.Reader, w io.Writer, dims []int, rel
 	if err := grid.Validate(dims, -1); err != nil {
 		return nil, err
 	}
-	if algo == SZABS || algo == ZFPACC {
-		return nil, ErrNeedsAbsolute
+	if _, err := admit(algo, boundRel, relBound); err != nil {
+		return nil, err
 	}
 	rows := dims[0]
 	rowStride := grid.Size(dims) / rows
@@ -384,27 +384,17 @@ drain:
 // verifyChunk decode-verifies one sealed chunk payload against the
 // source rows it encodes, asserting exactly what the algorithm
 // guarantees (Table IV): NaN and ±Inf always survive, exact zeros are
-// preserved by the zero-preserving algorithms, and every finite normal
-// nonzero original is within the point-wise relative bound unless the
-// algorithm (ZFP_P) documents no hard guarantee. Subnormal originals
-// are skipped — below 2^-1022 the float64 quantum makes tight relative
-// bounds unsatisfiable in principle.
+// preserved where the codec keeps them, and every finite normal
+// nonzero original is within the point-wise relative bound where the
+// codec holds it (every relative algorithm but ZFP_P). Subnormal
+// originals are skipped — below 2^-1022 the float64 quantum makes
+// tight relative bounds unsatisfiable in principle.
 func verifyChunk(payload []byte, src []float64, subDims []int, relBound float64, algo Algorithm) error {
-	dec, dims, err := Decompress(payload)
+	dec, err := decodeChunk(payload, subDims[0], subDims)
 	if err != nil {
-		return fmt.Errorf("%w: sealed chunk does not decode: %v", ErrVerifyFailed, err)
+		return fmt.Errorf("%w: sealed chunk: %v", ErrVerifyFailed, err)
 	}
-	if len(dims) != len(subDims) || len(dec) != len(src) {
-		return fmt.Errorf("%w: sealed chunk decodes to shape %v (%d elems), want %v (%d)",
-			ErrVerifyFailed, dims, len(dec), subDims, len(src))
-	}
-	for i := range subDims {
-		if dims[i] != subDims[i] {
-			return fmt.Errorf("%w: sealed chunk decodes to shape %v, want %v", ErrVerifyFailed, dims, subDims)
-		}
-	}
-	preserveZeros := algo == SZT || algo == ZFPT || algo == FPZIP || algo == ISABELA
-	checkBound := algo != ZFPP
+	c := &codecs[algo]
 	const smallestNormal = 2.2250738585072014e-308 // 2^-1022
 	for i, o := range src {
 		d := dec[i]
@@ -418,19 +408,43 @@ func verifyChunk(payload []byte, src []float64, subDims []int, relBound float64,
 				return fmt.Errorf("%w: %g at element %d decoded to %g", ErrVerifyFailed, o, i, d)
 			}
 		case floatbits.IsZero(o):
-			if preserveZeros && !floatbits.IsZero(d) {
+			if c.keepsZeros && !floatbits.IsZero(d) {
 				return fmt.Errorf("%w: zero at element %d perturbed to %g", ErrVerifyFailed, i, d)
 			}
 		case math.Abs(o) < smallestNormal:
 			// Subnormal original: no relative guarantee to assert.
 		default:
-			if checkBound && math.Abs(d-o) > relBound*(1+1e-9)*math.Abs(o) {
+			if c.holdsBound && math.Abs(d-o) > relBound*(1+1e-9)*math.Abs(o) {
 				return fmt.Errorf("%w: bound %g violated at element %d: orig %g decoded %g",
 					ErrVerifyFailed, relBound, i, o, d)
 			}
 		}
 	}
 	return nil
+}
+
+// decodeChunk decodes one chunk payload of a chunked container (a
+// plain Compress stream) and checks it has the shape the container's
+// header promises: rows rows of the field's trailing dims (dims[0] is
+// not compared). Every chunked read decodes through it, so a chunk whose
+// rank, row count, trailing dims or element count disagree with the
+// header fails the same way everywhere, with ErrCorrupted.
+func decodeChunk(payload []byte, rows int, dims []int) ([]float64, error) {
+	dec, got, err := Decompress(payload)
+	if err != nil {
+		return nil, err
+	}
+	ok := len(got) == len(dims) && got[0] == rows
+	want := rows
+	for i := 1; ok && i < len(dims); i++ {
+		ok = got[i] == dims[i]
+		want *= dims[i]
+	}
+	if !ok || len(dec) != want {
+		return nil, fmt.Errorf("%w: chunk decodes to shape %v (%d elements), want %d rows of %v",
+			ErrCorrupted, got, len(dec), rows, dims[1:])
+	}
+	return dec, nil
 }
 
 // countingWriter counts bytes written through it.
@@ -509,25 +523,13 @@ func decompressStream(cfg *StreamConfig, r io.Reader, w io.Writer) (_ *StreamSta
 			defer wg.Done()
 			for jb := range jobs {
 				t0 := time.Now()
-				dec, subDims, err := Decompress(jb.in)
+				jb.dec, jb.err = decodeChunk(jb.in, jb.rows, dims)
 				codecNS.Add(time.Since(t0).Nanoseconds())
 				select {
 				case free <- jb.in:
 				default:
 				}
 				jb.in = nil
-				if err == nil {
-					if len(subDims) != len(dims) || subDims[0] != jb.rows || len(dec) != jb.rows*rowStride {
-						err = fmt.Errorf("%w: chunk %d decoded to shape %v, want %d rows of stride %d",
-							ErrCorrupt, jb.seq, subDims, jb.rows, rowStride)
-					}
-					for i := 1; err == nil && i < len(dims); i++ {
-						if subDims[i] != dims[i] {
-							err = fmt.Errorf("%w: chunk %d dims %v disagree with field %v", ErrCorrupt, jb.seq, subDims, dims)
-						}
-					}
-				}
-				jb.dec, jb.err = dec, err
 				close(jb.done)
 			}
 		}()

@@ -3,6 +3,7 @@ package repro
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"io"
 	"math"
 	"runtime"
@@ -203,11 +204,25 @@ func TestStreamInputErrors(t *testing.T) {
 	if _, err := CompressStreamOpts(bytes.NewReader(raw), &sink, []int{0}, 1e-2, SZT); err == nil {
 		t.Error("zero dim: want error")
 	}
-	if _, err := CompressStreamOpts(bytes.NewReader(raw), &sink, []int{64}, 1e-2, SZABS); err == nil {
-		t.Error("absolute algo: want ErrNeedsAbsolute")
+	if _, err := CompressStreamOpts(bytes.NewReader(raw), &sink, []int{64}, 1e-2, SZABS); !errors.Is(err, ErrNeedsAbsolute) {
+		t.Errorf("absolute algo: err = %v, want ErrNeedsAbsolute", err)
 	}
-	if _, err := CompressStreamOpts(bytes.NewReader(raw), &sink, []int{64}, 2.0, SZT); err == nil {
-		t.Error("bad bound: want error")
+	// An algorithm or bound the chunks could never be compressed under is
+	// refused before the stream header reaches the sink.
+	for _, c := range []struct {
+		algo  Algorithm
+		bound float64
+	}{
+		{SZABS, 1e-2}, {ZFPRATE, 1e-2}, {FPZIP32, 1e-2}, {Algorithm(77), 1e-2},
+		{SZT, 2}, {SZT, 0}, {FPZIP, -1},
+	} {
+		var sink bytes.Buffer
+		if _, err := CompressStreamOpts(bytes.NewReader(raw), &sink, []int{64}, c.bound, c.algo); err == nil {
+			t.Errorf("%v at bound %g: want error", c.algo, c.bound)
+		}
+		if sink.Len() != 0 {
+			t.Errorf("%v at bound %g: %d bytes reached the sink before the error", c.algo, c.bound, sink.Len())
+		}
 	}
 	// A failing writer must abort the pipeline with an error, not hang.
 	ew := &errAfterWriter{limit: 10}
