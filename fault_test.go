@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"math"
+	"runtime"
 	"testing"
 	"time"
 
@@ -331,6 +332,60 @@ func TestFaultStalledReader(t *testing.T) {
 			t.Fatalf("stall@%d: decode took %v, pipeline is hanging", cut, d)
 		}
 	}
+}
+
+// TestFaultHostileChunkCount feeds every stream decode entry point an
+// 11-byte container whose header declares dims [2^40] at one row per
+// chunk, 2^40 chunks, with no frame behind it. Under default options
+// each must fail with ErrTruncated after allocating for the bytes it
+// read, never for the chunk count the header claims: an allocation
+// sized by that claim kills the process with an out-of-memory fatal
+// error that no recover can catch.
+func TestFaultHostileChunkCount(t *testing.T) {
+	defer testutil.NoLeak(t)()
+	hostile := []byte{
+		streamfmt.Magic, streamfmt.Version, byte(SZT),
+		1,                                  // rank
+		0x80, 0x80, 0x80, 0x80, 0x80, 0x20, // dims[0] = 2^40 as a uvarint
+		1, // chunk rows
+	}
+	for _, e := range []struct {
+		name string
+		run  func() error
+	}{
+		{"DecompressStreamOpts", func() error {
+			_, err := DecompressStreamOpts(bytes.NewReader(hostile), io.Discard)
+			return err
+		}},
+		{"DecompressAny", func() error {
+			_, _, err := DecompressAny(hostile)
+			return err
+		}},
+		{"OpenStream", func() error {
+			_, err := OpenStream(bytes.NewReader(hostile))
+			return err
+		}},
+	} {
+		var err error
+		n := allocatedBy(func() { err = e.run() })
+		if !errors.Is(err, ErrTruncated) {
+			t.Errorf("%s: err = %v, want ErrTruncated", e.name, err)
+		}
+		if n >= 1<<20 {
+			t.Errorf("%s: allocated %d bytes refusing an 11-byte container", e.name, n)
+		}
+		t.Logf("%s: %v after %d bytes allocated", e.name, err, n)
+	}
+}
+
+// allocatedBy returns the heap bytes allocated while fn runs.
+func allocatedBy(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }
 
 // TestFaultFailingWriter proves DecompressStreamOpts stops reading

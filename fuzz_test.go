@@ -3,7 +3,6 @@ package repro
 import (
 	"bytes"
 	"encoding/binary"
-	"io"
 	"math"
 	"testing"
 
@@ -250,7 +249,9 @@ func parityFuzzSeeds() [][]byte {
 // has actually received; truncation and corruption of frame headers
 // must surface as errors (the guard-before-use discipline of the slice
 // decoders, extended to the io.Reader path). On success the emitted byte
-// count must agree with the container header's geometry.
+// count must agree with the container header's geometry. DecompressAny
+// decodes the same stream containers in memory: it must succeed exactly
+// when the streaming decoder does, with bit-identical values.
 func FuzzDecompressStream(f *testing.F) {
 	if stream := fuzzStreamContainer(3); stream != nil {
 		f.Add(stream)
@@ -268,9 +269,22 @@ func FuzzDecompressStream(f *testing.F) {
 	hostile := []byte{streamfmt.Magic, streamfmt.Version, byte(SZT), 1, 8, 2, 0x01}
 	hostile = binary.AppendUvarint(hostile, streamfmt.MaxFrameLen-1)
 	f.Add(hostile)
+	// Hostile chunk count: dims [2^40] at one row per chunk, no frames.
+	f.Add([]byte{streamfmt.Magic, streamfmt.Version, byte(SZT), 1, 0x80, 0x80, 0x80, 0x80, 0x80, 0x20, 1})
 	f.Fuzz(func(t *testing.T, buf []byte) {
-		cw := &countingWriter{w: io.Discard}
+		var out bytes.Buffer
+		cw := &countingWriter{w: &out}
 		st, err := DecompressStreamOpts(bytes.NewReader(buf), cw)
+		if IsStreamContainer(buf) {
+			// Other magics route DecompressAny to another decoder.
+			vals, _, anyErr := DecompressAny(buf)
+			if (err == nil) != (anyErr == nil) {
+				t.Fatalf("DecompressStreamOpts err = %v, DecompressAny err = %v", err, anyErr)
+			}
+			if err == nil && !bytes.Equal(out.Bytes(), rawLE(vals)) {
+				t.Fatalf("DecompressAny's %d values differ from the streaming decode's %d bytes", len(vals), out.Len())
+			}
+		}
 		if err != nil {
 			return
 		}

@@ -443,11 +443,9 @@ func (sr *Reader) readHeader() error {
 	if err := sr.hdr.validate(); err != nil {
 		return err
 	}
-	if err := sr.lim.checkHeader(&sr.hdr); err != nil {
-		return err
-	}
-	sr.lens = make([]uint64, 0, sr.hdr.Chunks())
-	return nil
+	// sr.lens grows with the frames actually read: the header's chunk
+	// count is only a claim, and 11 hostile bytes can declare 2^40.
+	return sr.lim.checkHeader(&sr.hdr)
 }
 
 // Header returns the parsed stream header. The returned struct shares

@@ -149,11 +149,11 @@ func WithFloat32() StreamOption {
 // only when the budget cannot fit even one row per chunk at a given
 // worker count does it shed workers. Explicitly set WithChunkRows /
 // WithWorkers values always win; the budget then sizes only the
-// remaining knob. Decode-side paths (DecompressStreamOpts, ReadRows)
-// take chunk geometry from the container header, so the budget there
-// caps the worker count alone. The budget governs the pipeline's own
-// chunk buffers — the O(workers × chunk) term — not the codec's
-// transient working memory.
+// remaining knob. Decode-side paths (DecompressStreamOpts, ReadRows,
+// DecompressAny) take chunk geometry from the container header, so the
+// budget there caps the worker count alone. The budget governs the
+// pipeline's own chunk buffers — the O(workers × chunk) term — not the
+// codec's transient working memory.
 func WithMemoryBudget(bytes int64) StreamOption {
 	return func(c *StreamConfig) { c.MemoryBudget = bytes }
 }

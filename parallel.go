@@ -2,15 +2,11 @@ package repro
 
 import (
 	"bytes"
-	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/bitio"
 	"repro/internal/grid"
@@ -29,11 +25,8 @@ import (
 //
 // Earlier versions wrote a separate parallel container (magic 0xC6:
 // chunk lengths up front, then the chunk streams). Nothing writes it
-// any more, but DecompressAny still reads it, through a pool that pulls
-// chunk indices from an atomic counter: exactly min(workers, chunks)
-// goroutines run, each checks the pool's context between chunks, and
-// cancellation stops the pool after at most the chunks already being
-// processed.
+// any more, but DecompressAny still reads it through the chunk engine
+// (engine.go), the same pipeline as every other chunked read.
 
 const parallelMagic = 0xC6
 
@@ -85,44 +78,13 @@ func (r *float64Reader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// runPool runs fn(0..n-1) on min(workers, n) goroutines pulling indices
-// from a shared counter. Workers observe ctx between indices, so
-// cancellation stops the pool after the indices already claimed; the
-// caller checks ctx after the pool drains.
-func runPool(ctx context.Context, workers, n int, fn func(int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				c := int(next.Add(1)) - 1
-				if c >= n || ctx.Err() != nil {
-					return
-				}
-				fn(c)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
 // decompressParallel decodes a legacy 0xC6 parallel container for
-// DecompressAny: WithWorkers sizes the pool (default GOMAXPROCS),
+// DecompressAny: the workers follow the decode rule of decodeWorkers,
 // WithLimits is enforced before any input-derived allocation or chunk
-// decode, and WithContext cancels the pool after at most the chunks
+// decode, and WithContext cancels the decode after at most the chunks
 // already in flight.
 func decompressParallel(cfg *StreamConfig, buf []byte) ([]float64, []int, error) {
-	ctx := cfg.Ctx
 	limits := cfg.Limits
-	workers := cfg.Workers
 	if len(buf) < 2 {
 		return nil, nil, fmt.Errorf("%w: %d-byte parallel container", ErrTruncated, len(buf))
 	}
@@ -180,41 +142,28 @@ func decompressParallel(cfg *StreamConfig, buf []byte) ([]float64, []int, error)
 		return nil, nil, fmt.Errorf("%w: chunk lengths overrun the container", ErrTruncated)
 	}
 
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	n := grid.Size(dims)
-	rowStride := n / dims[0]
-	starts := chunkStarts(dims[0], chunks)
-
-	chunkBufs := make([][]byte, chunks)
-	for c := range chunkBufs {
-		chunkBufs[c] = buf[off : off+lengths[c]]
-		off += lengths[c]
-	}
-
 	// Every chunk decodes before the field is allocated: a chunk's
 	// decode is bounded by its own payload, while the header's geometry
 	// is only a claim, so a few hostile bytes declaring billions of
 	// elements fail here instead of sizing the output.
-	decs := make([][]float64, chunks)
-	errs := make([]error, chunks)
-	runPool(ctx, workers, chunks, func(c int) {
-		decs[c], errs[c] = decodeChunk(chunkBufs[c], starts[c+1]-starts[c], dims)
-	})
-	if err := ctx.Err(); err != nil {
-		return nil, nil, ctxCause(ctx)
-	}
-	for c, err := range errs {
-		if err != nil {
-			return nil, nil, fmt.Errorf("chunk %d: %w", c, err)
+	starts := chunkStarts(dims[0], chunks)
+	c := 0
+	fetch := func(jb *chunkJob) error {
+		if c == chunks {
+			return io.EOF
 		}
+		jb.seq, jb.rows, jb.payload = c, starts[c+1]-starts[c], buf[off:off+lengths[c]]
+		off += lengths[c]
+		c++
+		return nil
 	}
-	out := make([]float64, n)
-	for c, dec := range decs {
-		copy(out[starts[c]*rowStride:], dec)
+	rowStride := grid.Size(dims) / dims[0]
+	workers := cfg.decodeWorkers((dims[0]+chunks-1)/chunks*rowStride, 8, chunks)
+	var col collector
+	if err := runChunks(cfg.Ctx, workers, &StreamStats{}, fetch, decodeWork(dims), col.emit); err != nil {
+		return nil, nil, err
 	}
-	return out, dims, nil
+	return col.field(), dims, nil
 }
 
 // chunkStarts splits `rows` into `chunks` nearly equal ranges, returning
@@ -237,12 +186,12 @@ func IsParallelStream(buf []byte) bool {
 // or has written: a plain Compress stream (0xC5), a stream container
 // (0xC8), or a legacy parallel container (0xC6). WithLimits is enforced
 // on whichever format the buffer carries, WithWorkers sizes the decode
-// pool of the chunked formats, and WithContext cancels the decode.
-// WithFloat32 is ignored: the result is float64.
+// pool of the chunked formats and WithMemoryBudget tempers it against
+// their chunk geometry, and WithContext cancels the decode. WithFloat32
+// is ignored: the result is float64.
 func DecompressAny(buf []byte, opts ...StreamOption) (_ []float64, _ []int, err error) {
 	defer recoverDecode(&err)
 	cfg := resolveStreamConfig(opts)
-	cfg.Float32 = false
 	if IsParallelStream(buf) {
 		return decompressParallel(cfg, buf)
 	}

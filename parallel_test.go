@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -118,6 +119,55 @@ func TestDecompressAnyPlainStream(t *testing.T) {
 	}
 	if len(dec) != 4 {
 		t.Fatal("wrong length")
+	}
+}
+
+// TestDecompressAnyAllocation pins what DecompressAny allocates for a
+// chunked container: at most what a full-range ReadRows into a
+// preallocated slice allocates for the same chunks, plus 1.25x the
+// field bytes for the result it returns.
+func TestDecompressAnyAllocation(t *testing.T) {
+	defer testutil.NoLeak(t)()
+	f := datagen.CESMATM(1024, 1024, 3)[0]
+	buf, err := CompressParallelOpts(f.Data, f.Dims, 1e-2, SZT, WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := OpenStream(bytes.NewReader(buf), WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.Chunks() != 4 {
+		t.Fatalf("%d chunks, want the default chunking's 4", h.Chunks())
+	}
+	dst := make([]float64, len(f.Data))
+	readRows := allocatedBy(func() { err = h.ReadRows(dst, 0, h.Rows()) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dec []float64
+	decodeAny := allocatedBy(func() { dec, _, err = DecompressAny(buf, WithWorkers(1)) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(dec) != len(dst) {
+		t.Fatalf("DecompressAny decoded %d values, want %d", len(dec), len(dst))
+	}
+	for i := range dec {
+		if math.Float64bits(dec[i]) != math.Float64bits(dst[i]) {
+			t.Fatalf("DecompressAny and ReadRows differ at element %d", i)
+		}
+	}
+	fieldBytes := uint64(len(f.Data)) * 8
+	limit := readRows + fieldBytes*5/4
+	t.Logf("DecompressAny allocated %d bytes; ReadRows %d; limit %d", decodeAny, readRows, limit)
+	if testutil.RaceEnabled {
+		t.Log("race detector: skipping the allocation assertion")
+		return
+	}
+	if decodeAny > limit {
+		t.Errorf("DecompressAny allocated %d bytes for a %d-byte field, over ReadRows' %d plus 1.25x the field (%d)",
+			decodeAny, fieldBytes, readRows, limit)
 	}
 }
 

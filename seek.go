@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/streamfmt"
 )
@@ -151,21 +149,16 @@ func (h *StreamHandle) rangeElems(dstLen, start, count uint64) (uint64, error) {
 	return need, nil
 }
 
-// seekJob carries one fetched chunk frame to the decode workers.
-type seekJob struct {
-	seq int
-	in  []byte // CRC-verified payload (aliases buf)
-	buf []byte // freelisted frame buffer
-}
-
-// readRows is the width-independent range-read pipeline: the calling
-// goroutine seeks once and fetches the touched frames sequentially
-// through an exact-extent LimitReader, a worker pool decodes them
-// concurrently, and each worker copies its trimmed rows through emit
-// into a disjoint region of the destination (so no ordering stage is
-// needed). emit receives the destination element offset and the decoded
-// values for [rowLo, rowHi) of the global range.
-func (h *StreamHandle) readRows(ctx context.Context, start, count uint64, outBytes int64, emit func(elemOff int, vals []float64)) error {
+// readRows is the width-independent range read: it seeks once to the
+// first touched frame and runs the chunk engine over the touched chunks.
+// Fetch makes one sequential pass through an exact-extent LimitReader,
+// setting aside frames that fail verification in a parity container;
+// after the pass the source position is free for repair seeks, and
+// fetch then reconstructs each of those chunks from its group's parity
+// frame and siblings. The caller's goroutine trims every decoded chunk
+// to the requested rows and hands them to put with their element offset
+// in the destination.
+func (h *StreamHandle) readRows(ctx context.Context, start, count uint64, outBytes int64, put func(elemOff int, vals []float64)) error {
 	ctx = orDefault(ctx)
 	if err := ctx.Err(); err != nil {
 		return ctxCause(ctx)
@@ -180,190 +173,60 @@ func (h *StreamHandle) readRows(ctx context.Context, start, count uint64, outByt
 	defer h.mu.Unlock()
 
 	off0, _ := h.ix.FrameExtent(c0)
-	extent := h.ix.ExtentBytes(c0, c1)
 	if _, err := h.src.Seek(off0, io.SeekStart); err != nil {
 		return fmt.Errorf("repro: seeking chunk %d at offset %d: %w", c0, off0, err)
 	}
-	fr := h.ix.Frames(io.LimitReader(h.src, extent), c0, c1)
+	fr := h.ix.Frames(io.LimitReader(h.src, h.ix.ExtentBytes(c0, c1)), c0, c1)
 
-	workers := h.cfg.defaultWorkers()
-	if h.cfg.Workers <= 0 && h.cfg.MemoryBudget > 0 {
-		// Chunk geometry is the container's; the budget tempers the
-		// decode pool width, exactly as on the forward decompress path.
-		workers = budgetWorkersFor(h.cfg.MemoryBudget, hdr.ChunkRows*hdr.RowStride(), 8, workers)
-	}
-	if workers > c1-c0 {
-		workers = c1 - c0
-	}
-	maxInFlight := workers + 2
-
-	jobs := make(chan *seekJob)
-	free := make(chan []byte, maxInFlight)
-	stop := make(chan struct{})
-	var fl inflight
-	var codecNS atomic.Int64
-	var failOnce sync.Once
-	var firstErr error
-	fail := func(err error) {
-		failOnce.Do(func() {
-			firstErr = err
-			close(stop)
-		})
-	}
-
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for jb := range jobs {
-				h.decodeOne(jb, start, count, stride, chunkRows, stop, &codecNS, emit, fail)
-				select {
-				case free <- jb.buf:
-				default:
-				}
-				fl.leave()
-			}
-		}()
-	}
-
-	// Live frame buffers are bounded by the unbuffered jobs channel: at
-	// most `workers` chunks decoding plus one blocked in the send, so the
-	// freelist only recycles — the O(workers × chunk) invariant of the
-	// forward pipeline holds for range reads too.
-	var readWall time.Duration
-	var repairBytes int64
 	var damaged []int
-	allocated := 0
-	chunks := 0
+	var repairBytes int64
 	repaired := 0
-	func() {
-		defer close(jobs) // guaranteed even if a fetch step panics
-	fetch:
-		for {
-			select {
-			case <-stop:
-				return
-			case <-ctx.Done():
-				fail(ctxCause(ctx))
-				return
+	pass := true
+	fetch := func(jb *chunkJob) error {
+		for pass {
+			payload, frame, seq, err := fr.Next(jb.buf)
+			switch {
+			case err == io.EOF:
+				pass = false
+			case errors.Is(err, streamfmt.ErrFrameDamaged) && h.ix.ParityK() > 0:
+				// The reader has already moved past the bad frame.
+				damaged = append(damaged, seq)
+			case err != nil:
+				return err
 			default:
-			}
-			var buf []byte
-			select {
-			case buf = <-free:
-			default:
-			}
-			t0 := time.Now()
-			payload, frame, seq, err := fr.Next(buf)
-			readWall += time.Since(t0)
-			if err == io.EOF {
-				break fetch
-			}
-			if err != nil {
-				if errors.Is(err, streamfmt.ErrFrameDamaged) && h.ix.ParityK() > 0 {
-					// Single-frame damage in a parity container: the
-					// reader has already advanced past the bad frame, so
-					// keep fetching and repair after the sequential pass.
-					// repair bookkeeping only grows on damaged frames, never on clean reads
-					damaged = append(damaged, seq)
-					continue
-				}
-				fail(err)
-				return
-			}
-			if cap(frame) > cap(buf) {
-				allocated++ // the frame reader grew a fresh buffer
-			}
-			chunks++
-			// per-chunk descriptor; live descriptors are bounded by the in-flight cap
-			jb := &seekJob{seq: seq, in: payload, buf: frame}
-			fl.enter()
-			select {
-			case jobs <- jb:
-			case <-stop:
-				fl.leave()
-				return
+				jb.seq, jb.rows, jb.payload, jb.buf = seq, hdr.ChunkRowCount(seq), payload, frame
+				return nil
 			}
 		}
-		// The sequential fetch is done, so the source position is free
-		// for repair seeks: reconstruct each damaged chunk from its
-		// group's parity frame and siblings, and feed it to the same
-		// decode pool.
-		for _, seq := range damaged {
-			select {
-			case <-stop:
-				return
-			case <-ctx.Done():
-				fail(ctxCause(ctx))
-				return
-			default:
-			}
-			t0 := time.Now()
-			payload, fetched, err := h.ix.RepairChunk(h.src, seq)
-			readWall += time.Since(t0)
-			repairBytes += fetched
-			if err != nil {
-				fail(fmt.Errorf("chunk %d: repair failed: %w", seq, err))
-				return
-			}
-			chunks++
-			repaired++
-			// per-repair descriptor on the cold path
-			jb := &seekJob{seq: seq, in: payload, buf: payload}
-			fl.enter()
-			select {
-			case jobs <- jb:
-			case <-stop:
-				fl.leave()
-				return
-			}
+		if len(damaged) == 0 {
+			return io.EOF
 		}
-	}()
-	wg.Wait()
-
-	h.stats.Chunks += chunks
+		seq := damaged[0]
+		damaged = damaged[1:]
+		payload, fetched, err := h.ix.RepairChunk(h.src, seq)
+		repairBytes += fetched
+		if err != nil {
+			return fmt.Errorf("chunk %d: repair failed: %w", seq, err)
+		}
+		repaired++
+		jb.seq, jb.rows, jb.payload = seq, hdr.ChunkRowCount(seq), payload
+		return nil
+	}
+	emit := func(jb *chunkJob) error {
+		lo := uint64(jb.seq) * chunkRows
+		gLo, gHi := max(start, lo), min(start+count, lo+uint64(jb.rows))
+		put(int((gLo-start)*stride), jb.vals[(gLo-lo)*stride:(gHi-lo)*stride])
+		jb.vals = nil
+		return nil
+	}
+	workers := h.cfg.decodeWorkers(hdr.ChunkRows*hdr.RowStride(), 8, c1-c0)
+	err := runChunks(ctx, workers, &h.stats, fetch, decodeWork(hdr.Dims), emit)
 	h.stats.BytesIn += fr.BytesRead() + repairBytes
-	h.stats.ReadWall += readWall
-	h.stats.CodecWall += time.Duration(codecNS.Load())
-	h.stats.BuffersAllocated += allocated
 	h.stats.ParityFrames += fr.ParitySkipped()
 	h.stats.RepairedChunks += repaired
-	if m := int(fl.max.Load()); m > h.stats.MaxInFlight {
-		h.stats.MaxInFlight = m
-	}
-	if firstErr != nil {
-		return firstErr
+	if err != nil {
+		return err
 	}
 	h.stats.BytesOut += outBytes
 	return nil
-}
-
-// decodeOne decompresses one fetched chunk, validates its shape against
-// the container geometry, trims it to the requested row range, and
-// emits the covered elements. Decode work is skipped (but the job still
-// drained) once the pipeline has failed.
-func (h *StreamHandle) decodeOne(jb *seekJob, start, count, stride, chunkRows uint64, stop chan struct{}, codecNS *atomic.Int64, emit func(elemOff int, vals []float64), fail func(error)) {
-	select {
-	case <-stop:
-		return
-	default:
-	}
-	rows := h.ix.Hdr.ChunkRowCount(jb.seq)
-	t0 := time.Now()
-	dec, err := decodeChunk(jb.in, rows, h.ix.Hdr.Dims)
-	codecNS.Add(time.Since(t0).Nanoseconds())
-	if err != nil {
-		fail(fmt.Errorf("chunk %d: %w", jb.seq, err))
-		return
-	}
-	chunkLo := uint64(jb.seq) * chunkRows
-	gLo, gHi := chunkLo, chunkLo+uint64(rows)
-	if start > gLo {
-		gLo = start
-	}
-	if end := start + count; end < gHi {
-		gHi = end
-	}
-	emit(int((gLo-start)*stride), dec[(gLo-chunkLo)*stride:(gHi-chunkLo)*stride])
 }

@@ -7,8 +7,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/floatbits"
@@ -17,30 +15,28 @@ import (
 )
 
 // Streaming compression: the field is cut into slices along dims[0],
-// one self-describing Compress stream per chunk, and flows through a
-// bounded pipeline instead of being materialized: a reader goroutine
-// slices rows off an io.Reader of raw
-// little-endian float64s, a worker pool compresses chunks concurrently,
-// and a writer goroutine emits framed chunks (internal/streamfmt) in
-// field order. Peak memory is O(workers × chunk), independent of field
-// size, which is what lets a rank open fields larger than its share of
-// RAM before dumping to the parallel file system (the paper's §V.C
-// deployment shape, as FRaZ and the bit-adaptive particle compressor
-// stress for practical pipelines).
+// one self-describing Compress stream per chunk, and flows through the
+// chunk engine (engine.go) instead of being materialized: fetch slices
+// rows off an io.Reader of raw little-endian floats, the workers
+// compress chunks concurrently, and the caller's goroutine emits framed
+// chunks (internal/streamfmt) in field order. Peak memory is
+// O(workers × chunk), independent of field size, which is what lets a
+// rank open fields larger than its share of RAM before dumping to the
+// parallel file system (the paper's §V.C deployment shape, as FRaZ and
+// the bit-adaptive particle compressor stress for practical pipelines).
 //
-// Both directions take WithContext, which threads a context.Context
-// through the reader/worker/writer stages: cancellation (like a sink
-// write error) closes the pipeline's stop channel, after which the
-// reader pulls no further frames, the worker pool drains, and every
-// pipeline goroutine exits before the call returns. The one blocking
-// operation a context cannot interrupt is a Read/Write already in
-// flight on the caller's reader or writer — teardown completes when
-// that call returns, the same contract as any blocking Go I/O.
+// Both directions take WithContext: cancellation (like a sink write
+// error) closes the engine's stop channel, after which fetch pulls no
+// further frames, the workers drain, and every pipeline goroutine exits
+// before the call returns. The one blocking operation a context cannot
+// interrupt is a Read/Write already in flight on the caller's reader or
+// writer — teardown completes when that call returns, the same contract
+// as any blocking Go I/O.
 //
 // The containers this pipeline seals are also randomly addressable:
 // OpenStream (seek.go) rebuilds the chunk offset table from the tail
 // index frame and serves arbitrary row ranges at O(touched chunks)
-// cost through the same worker-pool machinery.
+// cost through the same engine.
 
 // StreamStats reports per-stream observability counters. All fields are
 // totals over the whole stream; wall times are per stage (Codec summed
@@ -75,35 +71,6 @@ type StreamStats struct {
 	// VerifiedChunks counts chunks decode-verified by VerifyOnWrite.
 	VerifiedChunks int
 }
-
-// streamJob carries one chunk through the pipeline.
-type streamJob struct {
-	seq  int
-	data []float64 // chunk input (compress) — freelisted
-	rows int
-	in   []byte // chunk payload (decompress) — freelisted after decode
-	out  []byte // compressed frame payload (compress)
-	dec  []float64
-	err  error
-	done chan struct{}
-}
-
-// inflight tracks the live-chunk high-water mark.
-type inflight struct {
-	cur, max atomic.Int64
-}
-
-func (f *inflight) enter() {
-	c := f.cur.Add(1)
-	for {
-		m := f.max.Load()
-		if c <= m || f.max.CompareAndSwap(m, c) {
-			return
-		}
-	}
-}
-
-func (f *inflight) leave() { f.cur.Add(-1) }
 
 // defaultChunkRows targets ~256Ki elements (2 MiB of float64) per
 // chunk, shrunk so a chunk's raw bytes stay within maxChunkBytes when
@@ -198,7 +165,6 @@ func compressStream(cfg *StreamConfig, r io.Reader, w io.Writer, dims []int, rel
 	if chunkElems > 1<<28 {
 		return nil, fmt.Errorf("repro: chunk of %d elements exceeds the 2 GiB chunk budget; reduce ChunkRows", chunkElems)
 	}
-	maxInFlight := workers + 2
 
 	cw := &countingWriter{w: w}
 	sw, err := streamfmt.NewWriter(cw,
@@ -207,178 +173,61 @@ func compressStream(cfg *StreamConfig, r io.Reader, w io.Writer, dims []int, rel
 		return nil, err
 	}
 
-	stats := &StreamStats{}
-	jobs := make(chan *streamJob)
-	order := make(chan *streamJob, maxInFlight)
-	free := make(chan []float64, maxInFlight)
-	stop := make(chan struct{})
-	var fl inflight
-	var codecNS atomic.Int64
-	var verified atomic.Int64
-
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for jb := range jobs {
-				t0 := time.Now()
-				subDims := append([]int{jb.rows}, dims[1:]...)
-				jb.out, jb.err = Compress(jb.data[:jb.rows*rowStride], subDims, relBound, algo, copts)
-				if jb.err == nil && verify {
-					jb.err = verifyChunk(jb.out, jb.data[:jb.rows*rowStride], subDims, relBound, algo)
-					if jb.err == nil {
-						verified.Add(1)
-					}
-				}
-				codecNS.Add(time.Since(t0).Nanoseconds())
-				close(jb.done)
-			}
-		}()
-	}
-
-	var readErr error
-	var readWall time.Duration
+	raw := make([]byte, chunkElems*elemSize) // the one raw I/O buffer of the budget formula
 	var bytesIn int64
-	var allocated int
-	go func() {
-		defer close(order)
-		defer close(jobs)
-		raw := make([]byte, chunkElems*elemSize)
-		for seq, row := 0, 0; row < rows; seq++ {
-			select {
-			case <-stop:
-				return
-			case <-ctx.Done():
-				readErr = ctxCause(ctx)
-				return
-			default:
-			}
-			n := chunkRows
-			if rows-row < n {
-				n = rows - row
-			}
-			var data []float64
-			select {
-			case data = <-free:
-			default:
-				if allocated < maxInFlight {
-					allocated++
-					// freelist fill: at most maxInFlight chunk buffers ever, the bounded-memory invariant
-					data = make([]float64, chunkElems)
-				} else {
-					select {
-					case data = <-free:
-					case <-stop:
-						return
-					}
-				}
-			}
-			t0 := time.Now()
-			want := n * rowStride * elemSize
-			if _, err := io.ReadFull(r, raw[:want]); err != nil {
-				readErr = fmt.Errorf("repro: short stream input at row %d/%d: %w", row, rows, err)
-				return
-			}
-			bytesIn += int64(want)
-			if elemSize == 8 {
-				for i := 0; i < n*rowStride; i++ {
-					data[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[i*8:]))
-				}
-			} else {
-				for i := 0; i < n*rowStride; i++ {
-					data[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(raw[i*4:])))
-				}
-			}
-			readWall += time.Since(t0)
-			// per-chunk descriptor; live descriptors are bounded by the in-flight cap
-			jb := &streamJob{seq: seq, data: data, rows: n, done: make(chan struct{})}
-			fl.enter()
-			select {
-			case jobs <- jb:
-			case <-stop:
-				fl.leave()
-				return
-			}
-			select {
-			case order <- jb:
-			case <-stop:
-				fl.leave()
-				return
-			}
-			row += n
+	seq, row := 0, 0
+	fetch := func(jb *chunkJob) error {
+		if row == rows {
+			return io.EOF
 		}
-	}()
+		n := min(chunkRows, rows-row)
+		want := n * rowStride * elemSize
+		if _, err := io.ReadFull(r, raw[:want]); err != nil {
+			return fmt.Errorf("repro: short stream input at row %d/%d: %w", row, rows, err)
+		}
+		bytesIn += int64(want)
+		if cap(jb.vals) < chunkElems {
+			jb.vals = make([]float64, chunkElems) // once per job, so at most workers+2 ever
+		}
+		jb.vals = jb.vals[:n*rowStride]
+		if elemSize == 8 {
+			for i := range jb.vals {
+				jb.vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[i*8:]))
+			}
+		} else {
+			for i := range jb.vals {
+				jb.vals[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(raw[i*4:])))
+			}
+		}
+		jb.seq, jb.rows = seq, n
+		seq++
+		row += n
+		return nil
+	}
+	work := func(jb *chunkJob) (err error) {
+		subDims := append([]int{jb.rows}, dims[1:]...)
+		jb.payload, err = Compress(jb.vals, subDims, relBound, algo, copts)
+		if err == nil && verify {
+			err = verifyChunk(jb.payload, jb.vals, subDims, relBound, algo)
+		}
+		return err
+	}
+	emit := func(jb *chunkJob) error { return sw.WriteChunk(jb.payload) }
 
-	var firstErr error
-	fail := func(err error) {
-		if firstErr == nil {
-			firstErr = err
-			close(stop)
-		}
-	}
-	writeOne := func(jb *streamJob) {
-		defer fl.leave()
-		<-jb.done
-		if firstErr != nil {
-			return
-		}
-		if jb.err != nil {
-			fail(fmt.Errorf("chunk %d: %w", jb.seq, jb.err))
-			return
-		}
-		t0 := time.Now()
-		err := sw.WriteChunk(jb.out)
-		stats.WriteWall += time.Since(t0)
-		if err != nil {
-			fail(fmt.Errorf("chunk %d: %w", jb.seq, err))
-			return
-		}
-		stats.Chunks++
-		select {
-		case free <- jb.data:
-		default:
-		}
-	}
-drain:
-	for {
-		select {
-		case jb, ok := <-order:
-			if !ok {
-				break drain
-			}
-			writeOne(jb)
-		case <-ctx.Done():
-			fail(ctxCause(ctx))
-			for jb := range order {
-				writeOne(jb)
-			}
-			break drain
-		}
-	}
-	wg.Wait()
-	if firstErr == nil && readErr != nil {
-		firstErr = readErr
-	}
-	stats.ReadWall = readWall
-	stats.CodecWall = time.Duration(codecNS.Load())
+	stats := &StreamStats{}
+	err = runChunks(ctx, workers, stats, fetch, work, emit)
 	stats.BytesIn = bytesIn
-	stats.MaxInFlight = int(fl.max.Load())
-	stats.BuffersAllocated = allocated
-	stats.VerifiedChunks = int(verified.Load())
+	if verify {
+		stats.VerifiedChunks = stats.Chunks
+	}
+	if err == nil {
+		t0 := time.Now()
+		err = sw.Finish()
+		stats.WriteWall += time.Since(t0)
+	}
 	stats.ParityFrames = sw.ParityWritten()
 	stats.BytesOut = cw.n
-	if firstErr != nil {
-		return stats, firstErr
-	}
-	t0 := time.Now()
-	if err := sw.Finish(); err != nil {
-		return stats, err
-	}
-	stats.WriteWall += time.Since(t0)
-	stats.ParityFrames = sw.ParityWritten()
-	stats.BytesOut = cw.n
-	return stats, nil
+	return stats, err
 }
 
 // verifyChunk decode-verifies one sealed chunk payload against the
@@ -477,206 +326,78 @@ func DecompressStreamOpts(r io.Reader, w io.Writer, opts ...StreamOption) (*Stre
 // entry point, driven by a resolved StreamConfig.
 func decompressStream(cfg *StreamConfig, r io.Reader, w io.Writer) (_ *StreamStats, err error) {
 	defer recoverDecode(&err)
-	ctx := orDefault(cfg.Ctx)
-	limits := cfg.Limits
+	sr, err := streamfmt.NewReaderLimits(r, cfg.Limits.streamLimits())
+	if err != nil {
+		return nil, err
+	}
 	elemSize := 8
 	if cfg.Float32 {
 		elemSize = 4
 	}
-	if cfg.MemoryBudget < 0 {
-		return nil, fmt.Errorf("repro: negative memory budget %d", cfg.MemoryBudget)
-	}
-	sr, err := streamfmt.NewReaderLimits(r, limits.streamLimits())
-	if err != nil {
-		return nil, err
-	}
-	hdr := sr.Header()
-	dims := hdr.Dims
-	rowStride := hdr.RowStride()
-	expChunks := hdr.Chunks()
-	workers := cfg.defaultWorkers()
-	if cfg.Workers <= 0 && cfg.MemoryBudget > 0 {
-		// The chunk geometry is the container's, so the budget can only
-		// temper the worker count here.
-		workers = budgetWorkersFor(cfg.MemoryBudget, hdr.ChunkRows*rowStride, elemSize, workers)
-	}
-	if workers > expChunks {
-		workers = expChunks
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	maxInFlight := workers + 2
-
-	stats := &StreamStats{}
-	jobs := make(chan *streamJob)
-	order := make(chan *streamJob, maxInFlight)
-	free := make(chan []byte, maxInFlight)
-	stop := make(chan struct{})
-	var fl inflight
-	var codecNS atomic.Int64
-
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for jb := range jobs {
-				t0 := time.Now()
-				jb.dec, jb.err = decodeChunk(jb.in, jb.rows, dims)
-				codecNS.Add(time.Since(t0).Nanoseconds())
-				select {
-				case free <- jb.in:
-				default:
-				}
-				jb.in = nil
-				close(jb.done)
-			}
-		}()
-	}
-
-	var readErr error
-	var readWall time.Duration
-	var allocated int
-	go func() {
-		defer close(order)
-		defer close(jobs)
-		for seq := 0; seq < expChunks; seq++ {
-			select {
-			case <-stop:
-				return
-			case <-ctx.Done():
-				readErr = ctxCause(ctx)
-				return
-			default:
-			}
-			var scratch []byte
-			select {
-			case scratch = <-free:
-			default:
-			}
-			t0 := time.Now()
-			payload, err := sr.Next(scratch)
-			readWall += time.Since(t0)
-			if err != nil {
-				readErr = err
-				return
-			}
-			if len(payload) > cap(scratch) {
-				allocated++ // streamfmt grew a fresh payload buffer
-			}
-			// The payload may alias scratch; hand ownership to the job.
-			// per-chunk descriptor; live descriptors are bounded by the in-flight cap
-			jb := &streamJob{seq: seq, in: payload, rows: hdr.ChunkRowCount(seq), done: make(chan struct{})}
-			fl.enter()
-			select {
-			case jobs <- jb:
-			case <-stop:
-				fl.leave()
-				return
-			}
-			select {
-			case order <- jb:
-			case <-stop:
-				fl.leave()
-				return
-			}
-		}
-		// All chunks read: the next frame must be the index. Skip the
-		// read when the pipeline already failed — the writer's error
-		// must not race an extra pull from the source.
-		select {
-		case <-stop:
-			return
-		case <-ctx.Done():
-			readErr = ctxCause(ctx)
-			return
-		default:
-		}
-		t0 := time.Now()
-		_, err := sr.Next(nil)
-		readWall += time.Since(t0)
-		if err != io.EOF {
-			if err == nil {
-				err = fmt.Errorf("%w: extra frame after final chunk", ErrCorrupt)
-			}
-			readErr = err
-		}
-	}()
-
-	var firstErr error
-	fail := func(err error) {
-		if firstErr == nil {
-			firstErr = err
-			close(stop)
-		}
-	}
 	var out []byte
-	writeOne := func(jb *streamJob) {
-		defer fl.leave()
-		<-jb.done
-		if firstErr != nil {
-			return
-		}
-		if jb.err != nil {
-			fail(fmt.Errorf("chunk %d: %w", jb.seq, jb.err))
-			return
-		}
-		t0 := time.Now()
-		need := len(jb.dec) * elemSize
+	var bytesOut int64
+	emit := func(jb *chunkJob) error {
+		need := len(jb.vals) * elemSize
 		if cap(out) < need {
 			// grows once to the largest chunk, then reused across all chunks
 			out = make([]byte, need)
 		}
 		out = out[:need]
 		if elemSize == 8 {
-			for i, v := range jb.dec {
+			for i, v := range jb.vals {
 				binary.LittleEndian.PutUint64(out[i*8:], math.Float64bits(v))
 			}
 		} else {
-			for i, v := range jb.dec {
+			for i, v := range jb.vals {
 				binary.LittleEndian.PutUint32(out[i*4:], math.Float32bits(float32(v)))
 			}
 		}
-		_, err := w.Write(out)
-		stats.WriteWall += time.Since(t0)
+		jb.vals = nil // written out: a recycled job holds no decoded chunk
+		if _, err := w.Write(out); err != nil {
+			return err
+		}
+		bytesOut += int64(need)
+		return nil
+	}
+	stats, err := decodeStream(cfg, sr, elemSize, emit)
+	if stats != nil {
+		stats.BytesOut = bytesOut
+	}
+	return stats, err
+}
+
+// decodeStream runs the chunks of the 0xC8 container behind sr through
+// the chunk engine, handing each decoded chunk to emit in field order;
+// after the last chunk, fetch requires the verified index frame.
+func decodeStream(cfg *StreamConfig, sr *streamfmt.Reader, elemSize int, emit func(*chunkJob) error) (*StreamStats, error) {
+	if cfg.MemoryBudget < 0 {
+		return nil, fmt.Errorf("repro: negative memory budget %d", cfg.MemoryBudget)
+	}
+	hdr := sr.Header()
+	chunks := hdr.Chunks()
+	seq := 0
+	fetch := func(jb *chunkJob) error {
+		if seq == chunks {
+			_, err := sr.Next(nil)
+			if err == nil {
+				err = fmt.Errorf("%w: extra frame after final chunk", ErrCorrupt)
+			}
+			return err // io.EOF once the index verifies
+		}
+		p, err := sr.Next(jb.buf)
 		if err != nil {
-			fail(fmt.Errorf("chunk %d: %w", jb.seq, err))
-			return
+			return err
 		}
-		stats.Chunks++
-		stats.BytesOut += int64(need)
+		jb.seq, jb.rows, jb.payload, jb.buf = seq, hdr.ChunkRowCount(seq), p, p
+		seq++
+		return nil
 	}
-drain:
-	for {
-		select {
-		case jb, ok := <-order:
-			if !ok {
-				break drain
-			}
-			writeOne(jb)
-		case <-ctx.Done():
-			fail(ctxCause(ctx))
-			for jb := range order {
-				writeOne(jb)
-			}
-			break drain
-		}
-	}
-	wg.Wait()
-	if firstErr == nil && readErr != nil {
-		firstErr = readErr
-	}
-	stats.ReadWall = readWall
-	stats.CodecWall = time.Duration(codecNS.Load())
+	stats := &StreamStats{}
+	workers := cfg.decodeWorkers(hdr.ChunkRows*hdr.RowStride(), elemSize, chunks)
+	err := runChunks(cfg.Ctx, workers, stats, fetch, decodeWork(hdr.Dims), emit)
 	stats.BytesIn = sr.Consumed()
-	stats.MaxInFlight = int(fl.max.Load())
-	stats.BuffersAllocated = allocated
 	stats.ParityFrames = sr.ParityRead()
-	if firstErr != nil {
-		return stats, firstErr
-	}
-	return stats, nil
+	return stats, err
 }
 
 // IsStreamContainer reports whether buf starts a CompressStreamOpts
@@ -686,23 +407,18 @@ func IsStreamContainer(buf []byte) bool {
 		(buf[1] == streamfmt.Version || buf[1] == streamfmt.VersionParity)
 }
 
-// decompressStreamBuf decodes an in-memory stream container (the
-// convenience path behind DecompressAny; the streaming path is
-// DecompressStreamOpts). cfg must select float64 output.
+// decompressStreamBuf decodes an in-memory stream container, the
+// DecompressAny path (the streaming one is DecompressStreamOpts): the
+// header is parsed once and the decoded chunks are collected straight
+// into the returned field.
 func decompressStreamBuf(cfg *StreamConfig, buf []byte) ([]float64, []int, error) {
-	hr, err := streamfmt.NewReaderLimits(bytes.NewReader(buf), cfg.Limits.streamLimits())
+	sr, err := streamfmt.NewReaderLimits(bytes.NewReader(buf), cfg.Limits.streamLimits())
 	if err != nil {
 		return nil, nil, err
 	}
-	dims := append([]int(nil), hr.Header().Dims...)
-	var out bytes.Buffer
-	if _, err := decompressStream(cfg, bytes.NewReader(buf), &out); err != nil {
+	var col collector
+	if _, err := decodeStream(cfg, sr, 8, col.emit); err != nil {
 		return nil, nil, err
 	}
-	raw := out.Bytes()
-	data := make([]float64, len(raw)/8)
-	for i := range data {
-		data[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[i*8:]))
-	}
-	return data, dims, nil
+	return col.field(), sr.Header().Dims, nil
 }

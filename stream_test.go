@@ -413,6 +413,46 @@ func TestStreamStatsObservability(t *testing.T) {
 	if dst.BytesOut != int64(len(f.Data)*8) {
 		t.Errorf("decode BytesOut %d want %d", dst.BytesOut, len(f.Data)*8)
 	}
+
+	// The decode paths hold the same in-flight bound as compress: a
+	// 300-chunk container never has more than workers+2 chunks alive.
+	g := datagen.CESMATM(300, 600, 11)[0]
+	var many bytes.Buffer
+	if _, err := CompressStreamOpts(bytes.NewReader(rawLE(g.Data)), &many, g.Dims, 1e-2, SZT, WithChunkRows(1)); err != nil {
+		t.Fatal(err)
+	}
+	decodePaths := []struct {
+		name string
+		run  func(workers int) (StreamStats, error)
+	}{
+		{"DecompressStreamOpts", func(workers int) (StreamStats, error) {
+			st, err := DecompressStreamOpts(bytes.NewReader(many.Bytes()), io.Discard, WithWorkers(workers))
+			if err != nil {
+				return StreamStats{}, err
+			}
+			return *st, nil
+		}},
+		{"ReadRows", func(workers int) (StreamStats, error) {
+			h, err := OpenStream(bytes.NewReader(many.Bytes()), WithWorkers(workers))
+			if err != nil {
+				return StreamStats{}, err
+			}
+			err = h.ReadRows(make([]float64, len(g.Data)), 0, h.Rows())
+			return h.Stats(), err
+		}},
+	}
+	for _, p := range decodePaths {
+		for _, workers := range []int{1, 2, 4} {
+			st, err := p.run(workers)
+			if err != nil {
+				t.Fatalf("%s at %d workers: %v", p.name, workers, err)
+			}
+			if st.Chunks != 300 || st.MaxInFlight < 1 || st.MaxInFlight > workers+2 {
+				t.Errorf("%s at %d workers: %d chunks, max in-flight %d; want 300 chunks and at most workers+2 = %d in flight",
+					p.name, workers, st.Chunks, st.MaxInFlight, workers+2)
+			}
+		}
+	}
 }
 
 // TestArchiveHoldsStreamContainer checks a stream container is a valid
