@@ -106,11 +106,11 @@ func OpenArchive(buf []byte, opts ...StreamOption) (_ *ArchiveReader, err error)
 func readDirCount(buf []byte, off, minEntry int, limits *DecodeLimits) (int, int, error) {
 	count, k := bitio.Uvarint(buf[off:])
 	if k == 0 || count > maxArchiveFields {
-		return 0, 0, fmt.Errorf("%w: archive field count", ErrCorrupt)
+		return 0, 0, fmt.Errorf("%w: archive field count", ErrCorrupted)
 	}
 	off += k
 	if count > uint64(len(buf)-off)/uint64(minEntry) {
-		return 0, 0, fmt.Errorf("%w: %d fields declared in %d bytes", ErrCorrupt, count, len(buf)-off)
+		return 0, 0, fmt.Errorf("%w: %d fields declared in %d bytes", ErrCorrupted, count, len(buf)-off)
 	}
 	if err := limits.checkFields(int(count)); err != nil {
 		return 0, 0, err
@@ -129,21 +129,21 @@ func openArchiveV1(buf []byte, limits *DecodeLimits) (*ArchiveReader, error) {
 	for i := 0; i < count; i++ {
 		nlen, k := bitio.Uvarint(buf[off:])
 		if k == 0 || nlen == 0 || nlen > maxFieldName || nlen > uint64(len(buf)-off-k) {
-			return nil, fmt.Errorf("%w: archive entry %d name", ErrCorrupt, i)
+			return nil, fmt.Errorf("%w: archive entry %d name", ErrCorrupted, i)
 		}
 		off += k
 		name := string(buf[off : off+int(nlen)])
 		off += int(nlen)
 		blen, k := bitio.Uvarint(buf[off:])
 		if k == 0 || blen > uint64(len(buf)) {
-			return nil, fmt.Errorf("%w: archive entry %d length", ErrCorrupt, i)
+			return nil, fmt.Errorf("%w: archive entry %d length", ErrCorrupted, i)
 		}
 		if err := limits.checkChunkBytes(int64(blen)); err != nil {
 			return nil, err
 		}
 		off += k
 		if _, dup := r.byName[name]; dup {
-			return nil, fmt.Errorf("%w: duplicate field %q", ErrCorrupt, name)
+			return nil, fmt.Errorf("%w: duplicate field %q", ErrCorrupted, name)
 		}
 		r.names = append(r.names, name)
 		r.byName[name] = nil
@@ -166,7 +166,7 @@ func openArchiveV1(buf []byte, limits *DecodeLimits) (*ArchiveReader, error) {
 		off += lengths[i]
 	}
 	if crc32.ChecksumIEEE(buf[start:off]) != wantCRC {
-		return nil, fmt.Errorf("%w: archive checksum mismatch", ErrCorrupt)
+		return nil, fmt.Errorf("%w: archive checksum mismatch", ErrCorrupted)
 	}
 	return r, nil
 }
@@ -190,26 +190,26 @@ func parseDirEntries(buf []byte, off, count int, extentCap uint64, limits *Decod
 	for i := 0; i < count; i++ {
 		nlen, k := bitio.Uvarint(buf[off:])
 		if k == 0 || nlen == 0 || nlen > maxFieldName || nlen > uint64(len(buf)-off-k) {
-			return nil, 0, fmt.Errorf("%w: archive entry %d name", ErrCorrupt, i)
+			return nil, 0, fmt.Errorf("%w: archive entry %d name", ErrCorrupted, i)
 		}
 		off += k
 		name := string(buf[off : off+int(nlen)])
 		off += int(nlen)
 		boff, k := bitio.Uvarint(buf[off:])
 		if k == 0 || boff > extentCap {
-			return nil, 0, fmt.Errorf("%w: archive entry %d offset", ErrCorrupt, i)
+			return nil, 0, fmt.Errorf("%w: archive entry %d offset", ErrCorrupted, i)
 		}
 		off += k
 		blen, k := bitio.Uvarint(buf[off:])
 		if k == 0 || blen > extentCap {
-			return nil, 0, fmt.Errorf("%w: archive entry %d length", ErrCorrupt, i)
+			return nil, 0, fmt.Errorf("%w: archive entry %d length", ErrCorrupted, i)
 		}
 		if err := limits.checkChunkBytes(int64(blen)); err != nil {
 			return nil, 0, err
 		}
 		off += k
 		if seen[name] {
-			return nil, 0, fmt.Errorf("%w: duplicate field %q", ErrCorrupt, name)
+			return nil, 0, fmt.Errorf("%w: duplicate field %q", ErrCorrupted, name)
 		}
 		seen[name] = true
 		entries[i] = dirEntry{name: name, off: boff, len: blen}
@@ -226,7 +226,7 @@ func validateExtents(entries []dirEntry, areaSize uint64) error {
 		hi := entries[i].off + entries[i].len
 		if hi > areaSize || hi < entries[i].off {
 			return fmt.Errorf("%w: field %q at [%d,%d) outside the %d-byte blob area",
-				ErrCorrupt, entries[i].name, entries[i].off, hi, areaSize)
+				ErrCorrupted, entries[i].name, entries[i].off, hi, areaSize)
 		}
 	}
 	sorted := append([]dirEntry(nil), entries...)
@@ -234,7 +234,7 @@ func validateExtents(entries []dirEntry, areaSize uint64) error {
 	for i := 1; i < len(sorted); i++ {
 		if sorted[i].off < sorted[i-1].off+sorted[i-1].len {
 			return fmt.Errorf("%w: fields %q and %q overlap in the blob area",
-				ErrCorrupt, sorted[i-1].name, sorted[i].name)
+				ErrCorrupted, sorted[i-1].name, sorted[i].name)
 		}
 	}
 	return nil
@@ -271,7 +271,7 @@ func openArchiveV2(buf []byte, limits *DecodeLimits) (*ArchiveReader, error) {
 		return nil, err
 	}
 	if crc32.ChecksumIEEE(area) != wantCRC {
-		return nil, fmt.Errorf("%w: archive checksum mismatch", ErrCorrupt)
+		return nil, fmt.Errorf("%w: archive checksum mismatch", ErrCorrupted)
 	}
 	return newArchiveReader(entries, area), nil
 }
@@ -290,7 +290,7 @@ func openArchiveV3(buf []byte, limits *DecodeLimits) (*ArchiveReader, error) {
 	}
 	area := buf[2:dirOff]
 	if crc32.ChecksumIEEE(area) != blobCRC {
-		return nil, fmt.Errorf("%w: archive checksum mismatch", ErrCorrupt)
+		return nil, fmt.Errorf("%w: archive checksum mismatch", ErrCorrupted)
 	}
 	return newArchiveReader(entries, area), nil
 }

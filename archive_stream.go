@@ -295,7 +295,7 @@ func readArchiveV3Dir(src io.ReadSeeker, limits *DecodeLimits) ([]dirEntry, uint
 	dirLen := binary.BigEndian.Uint64(trailer[8:])
 	if dirLen < 1 || dirLen > uint64(size-2-archiveV3TrailerLen) {
 		return nil, 0, 0, fmt.Errorf("%w: archive directory of %d bytes in a %d-byte container",
-			ErrCorrupt, dirLen, size)
+			ErrCorrupted, dirLen, size)
 	}
 	dirOff := size - archiveV3TrailerLen - int64(dirLen)
 	if _, err := src.Seek(dirOff, io.SeekStart); err != nil {
@@ -309,7 +309,7 @@ func readArchiveV3Dir(src io.ReadSeeker, limits *DecodeLimits) ([]dirEntry, uint
 		return nil, 0, 0, fmt.Errorf("repro: reading archive directory: %w", err)
 	}
 	if crc32.ChecksumIEEE(dir) != dirCRC {
-		return nil, 0, 0, fmt.Errorf("%w: archive directory checksum mismatch", ErrCorrupt)
+		return nil, 0, 0, fmt.Errorf("%w: archive directory checksum mismatch", ErrCorrupted)
 	}
 	count, off, err := readDirCount(dir, 0, 4, limits)
 	if err != nil {
@@ -321,7 +321,7 @@ func readArchiveV3Dir(src io.ReadSeeker, limits *DecodeLimits) ([]dirEntry, uint
 	}
 	if off != len(dir) {
 		return nil, 0, 0, fmt.Errorf("%w: %d trailing bytes in the %d-entry archive directory",
-			ErrCorrupt, len(dir)-off, count)
+			ErrCorrupted, len(dir)-off, count)
 	}
 	if err := validateExtents(entries, uint64(dirOff-2)); err != nil {
 		return nil, 0, 0, err

@@ -151,7 +151,7 @@ func main() {
 			dopts := streamFlagOptions(*workers, 0, 0, false, *memBudget)
 			switch {
 			case *salvage:
-				streamSalvageFile(*in, *out, lim)
+				streamSalvageFile(*in, *out, lim, dopts)
 			case *rowRange != "":
 				start, count, err := parseRange(*rowRange)
 				check(err)
@@ -393,14 +393,15 @@ func streamReadRangeFile(in, out string, start, count uint64, lim *repro.DecodeL
 // streamSalvageFile recovers the intact chunks of a damaged stream
 // container — repairing single losses from parity where the container
 // carries it — and reports exactly what was lost.
-func streamSalvageFile(in, out string, lim *repro.DecodeLimits) {
+func streamSalvageFile(in, out string, lim *repro.DecodeLimits, opts []repro.StreamOption) {
 	src, err := os.Open(in)
 	check(err)
 	defer src.Close() //lint:allow errdrop read-only input
 	dst, err := atomicio.Create(out)
 	check(err)
 	w := bufio.NewWriterSize(dst, 1<<20)
-	rep, err := repro.DecompressStreamSalvage(faultio.Retry(src, inputRetries), w, lim)
+	rep, err := repro.DecompressStreamSalvage(faultio.Retry(src, inputRetries), w,
+		append(opts, repro.WithLimits(lim))...)
 	if err == nil {
 		err = w.Flush()
 	}

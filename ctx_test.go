@@ -229,3 +229,51 @@ func TestArchiveStreamCtxCancelled(t *testing.T) {
 		t.Fatalf("handle unusable after a cancelled read: %v", err)
 	}
 }
+
+// cancelAfterWriter cancels a context once n bytes have been written,
+// then keeps accepting data.
+type cancelAfterWriter struct {
+	n      int64
+	cancel context.CancelCauseFunc
+	cause  error
+}
+
+func (c *cancelAfterWriter) Write(p []byte) (int, error) {
+	if c.n -= int64(len(p)); c.n <= 0 {
+		c.cancel(c.cause)
+	}
+	return len(p), nil
+}
+
+// TestSalvageCtxCancelled extends the cancellation contract to salvage:
+// a context cancelled before the call or while chunks are being
+// written stops the decode pool and returns the context's cause.
+func TestSalvageCtxCancelled(t *testing.T) {
+	defer testutil.NoLeak(t)()
+	data, dims := bigField()
+	var comp bytes.Buffer
+	if _, err := CompressStreamOpts(bytes.NewReader(rawLE(data)), &comp, dims, 1e-2, SZT,
+		WithWorkers(2), WithChunkRows(8)); err != nil {
+		t.Fatal(err)
+	}
+	stream := comp.Bytes()
+	cause := errors.New("operator abort")
+
+	pre, cancelPre := context.WithCancelCause(context.Background())
+	cancelPre(cause)
+	if _, err := DecompressStreamSalvage(bytes.NewReader(stream), io.Discard,
+		WithContext(pre), WithWorkers(2)); !errors.Is(err, cause) {
+		t.Fatalf("pre-cancelled: err = %v, want the context's cause", err)
+	}
+
+	ctx, cancel := context.WithCancelCause(context.Background())
+	defer cancel(nil)
+	w := &cancelAfterWriter{n: int64(len(data)) * 8 / 4, cancel: cancel, cause: cause}
+	rep, err := DecompressStreamSalvage(bytes.NewReader(stream), w, WithContext(ctx), WithWorkers(2))
+	if !errors.Is(err, cause) {
+		t.Fatalf("mid-stream: err = %v, want the context's cause", err)
+	}
+	if rep.BytesOut >= int64(len(data))*8 {
+		t.Errorf("salvage wrote the whole field (%d bytes) after cancellation", rep.BytesOut)
+	}
+}

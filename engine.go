@@ -14,17 +14,20 @@ import (
 // and write in this package is the same pipeline with a different
 // fetch, work and emit step:
 //
-//	path                   fetch                          work          emit
-//	compressStream         little-endian rows of r        Compress      WriteChunk
-//	decodeStream (0xC8)    streamfmt.Reader.Next, index   decodeChunk   w, or collect
-//	StreamHandle.readRows  extents, then parity repairs   decodeChunk   trim into dst
-//	decompressParallel     0xC6 length-table slices       decodeChunk   collect
+//	path                     fetch                          work          emit
+//	compressStream           little-endian rows of r        Compress      WriteChunk
+//	decodeStream (0xC8)      streamfmt.Reader.Next, index   decodeChunk   w, or collect
+//	StreamHandle.readRows    extents, then parity repairs   decodeChunk   trim into dst
+//	decompressParallel       0xC6 length-table slices       decodeChunk   collect
+//	DecompressStreamSalvage  ScanSalvage's frames           decodeChunk   w, NaN fill if lost
 //
-// One fetch goroutine fills jobs in field order, the workers run the
-// work step, and the caller's goroutine emits each job in fetch order,
-// so output order never depends on scheduling. At most workers+2 jobs
-// ever exist, each reused with its buffers and its done channel: that
-// hard cap is the O(workers × chunk) memory bound of DESIGN.md §7.
+// Salvage's work step treats a failed decode as a lost chunk rather
+// than an error. One fetch goroutine fills jobs in field order, the
+// workers run the work step, and the caller's goroutine emits each job
+// in fetch order, so output order never depends on scheduling. At most
+// workers+2 jobs ever exist, each reused with its buffers and its done
+// channel: that hard cap is the O(workers × chunk) memory bound of
+// DESIGN.md §7.
 
 // chunkJob is one chunk's slot in the engine.
 type chunkJob struct {
@@ -234,7 +237,8 @@ func (c *collector) field() []float64 {
 }
 
 // decodeWorkers is the one worker-count rule of the decode paths
-// (DecompressStreamOpts, ReadRows and DecompressAny): WithWorkers or
+// (DecompressStreamOpts, ReadRows, DecompressAny and
+// DecompressStreamSalvage): WithWorkers or
 // GOMAXPROCS, tempered by WithMemoryBudget (the chunk geometry is the
 // container's, so the budget can only shed workers), clamped to the
 // chunks to decode.

@@ -28,10 +28,6 @@ var (
 	// framing, a checksum mismatch, an impossible geometry.
 	ErrCorrupted = codecerr.ErrCorrupted
 
-	// ErrCorrupt is the original name for ErrCorrupted, kept so
-	// existing errors.Is call sites continue to compile and match.
-	ErrCorrupt = ErrCorrupted
-
 	// ErrTruncated reports input that ends before its container
 	// structure does. It wraps ErrCorrupted.
 	ErrTruncated = codecerr.ErrTruncated

@@ -337,10 +337,12 @@ func TestFaultStalledReader(t *testing.T) {
 // TestFaultHostileChunkCount feeds every stream decode entry point an
 // 11-byte container whose header declares dims [2^40] at one row per
 // chunk, 2^40 chunks, with no frame behind it. Under default options
-// each must fail with ErrTruncated after allocating for the bytes it
-// read, never for the chunk count the header claims: an allocation
-// sized by that claim kills the process with an out-of-memory fatal
-// error that no recover can catch.
+// each must fail after allocating for the bytes it read, never for the
+// chunk count the header claims: an allocation sized by that claim
+// kills the process with an out-of-memory fatal error that no recover
+// can catch. The strict readers fail with ErrTruncated; salvage
+// NaN-fills every chunk the container lacks, so only its writer, which
+// fails after 64 KiB, stops it.
 func TestFaultHostileChunkCount(t *testing.T) {
 	defer testutil.NoLeak(t)()
 	hostile := []byte{
@@ -351,25 +353,30 @@ func TestFaultHostileChunkCount(t *testing.T) {
 	}
 	for _, e := range []struct {
 		name string
+		want error
 		run  func() error
 	}{
-		{"DecompressStreamOpts", func() error {
+		{"DecompressStreamOpts", ErrTruncated, func() error {
 			_, err := DecompressStreamOpts(bytes.NewReader(hostile), io.Discard)
 			return err
 		}},
-		{"DecompressAny", func() error {
+		{"DecompressAny", ErrTruncated, func() error {
 			_, _, err := DecompressAny(hostile)
 			return err
 		}},
-		{"OpenStream", func() error {
+		{"OpenStream", ErrTruncated, func() error {
 			_, err := OpenStream(bytes.NewReader(hostile))
+			return err
+		}},
+		{"DecompressStreamSalvage", faultio.ErrInjected, func() error {
+			_, err := DecompressStreamSalvage(bytes.NewReader(hostile), faultio.FailWriter(io.Discard, 64<<10))
 			return err
 		}},
 	} {
 		var err error
 		n := allocatedBy(func() { err = e.run() })
-		if !errors.Is(err, ErrTruncated) {
-			t.Errorf("%s: err = %v, want ErrTruncated", e.name, err)
+		if !errors.Is(err, e.want) {
+			t.Errorf("%s: err = %v, want %v", e.name, err, e.want)
 		}
 		if n >= 1<<20 {
 			t.Errorf("%s: allocated %d bytes refusing an 11-byte container", e.name, n)
@@ -429,7 +436,7 @@ func TestFaultSweepSalvage(t *testing.T) {
 	stream := faultCorpus(t)["stream"]
 	check := func(desc string, buf []byte) {
 		var out bytes.Buffer
-		rep, err := DecompressStreamSalvage(bytes.NewReader(buf), &out, nil)
+		rep, err := DecompressStreamSalvage(bytes.NewReader(buf), &out)
 		if err != nil {
 			if !typedOK(err) {
 				t.Fatalf("%s: untyped error %v", desc, err)
@@ -489,7 +496,7 @@ func TestFaultSweepParityRepair(t *testing.T) {
 		inParity := region(int64(pos), scan.Parity)
 
 		var out bytes.Buffer
-		rep, err := DecompressStreamSalvage(bytes.NewReader(mut), &out, nil)
+		rep, err := DecompressStreamSalvage(bytes.NewReader(mut), &out)
 		if err != nil {
 			if !typedOK(err) {
 				t.Fatalf("flip@%d: untyped salvage error %v", pos, err)
@@ -541,7 +548,7 @@ func TestFaultSweepParityRepair(t *testing.T) {
 	// fabricating repaired data.
 	for cut := 0; cut < len(stream); cut++ {
 		var out bytes.Buffer
-		rep, err := DecompressStreamSalvage(bytes.NewReader(stream[:cut]), &out, nil)
+		rep, err := DecompressStreamSalvage(bytes.NewReader(stream[:cut]), &out)
 		if err != nil {
 			if !typedOK(err) {
 				t.Fatalf("trunc@%d: untyped error %v", cut, err)
@@ -613,9 +620,16 @@ func TestDecodeLimits(t *testing.T) {
 			t.Errorf("DecompressAny %s MaxElements: err = %v", name, err)
 		}
 	}
+	if _, err := DecompressStreamSalvage(bytes.NewReader(corpus["stream"]), io.Discard, WithLimits(tiny)); !errors.Is(err, ErrLimitExceeded) {
+		t.Errorf("salvage MaxElements: err = %v", err)
+	}
 	small := &DecodeLimits{MaxChunkBytes: 3}
 	if _, err := DecompressStreamOpts(bytes.NewReader(corpus["stream"]), io.Discard, WithLimits(small)); !errors.Is(err, ErrLimitExceeded) {
 		t.Errorf("stream MaxChunkBytes: err = %v", err)
+	}
+	// Salvage loses an oversized chunk like a damaged one, alone.
+	if rep, err := DecompressStreamSalvage(bytes.NewReader(corpus["stream"]), io.Discard, WithLimits(small)); err != nil || !rep.IndexOK || rep.Lost() != rep.Chunks {
+		t.Errorf("salvage MaxChunkBytes: err = %v, report %+v; want every chunk lost under a verified index", err, rep)
 	}
 	for _, name := range []string{"parallel", "stream"} {
 		if _, _, err := DecompressAny(corpus[name], WithLimits(small)); !errors.Is(err, ErrLimitExceeded) {
@@ -632,6 +646,9 @@ func TestDecodeLimits(t *testing.T) {
 	big := &DecodeLimits{MaxElements: 1 << 20, MaxChunkBytes: 1 << 20, MaxFields: 64}
 	if _, err := DecompressStreamOpts(bytes.NewReader(corpus["stream"]), io.Discard, WithLimits(big)); err != nil {
 		t.Errorf("stream under generous limits: %v", err)
+	}
+	if rep, err := DecompressStreamSalvage(bytes.NewReader(corpus["stream"]), io.Discard, WithLimits(big)); err != nil || rep.Recovered != rep.Chunks {
+		t.Errorf("salvage under generous limits: err = %v, report %+v", err, rep)
 	}
 	for _, name := range anyFormats {
 		if data, dims, err := DecompressAny(corpus[name], WithLimits(big), WithWorkers(2)); err != nil {

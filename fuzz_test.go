@@ -3,9 +3,11 @@ package repro
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
 	"math"
 	"testing"
 
+	"repro/internal/faultio"
 	"repro/internal/grid"
 	"repro/internal/streamfmt"
 )
@@ -524,13 +526,23 @@ func FuzzStreamSalvage(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{streamfmt.Magic, streamfmt.Version})
+	// Hostile chunk count: dims [2^40] at one row per chunk, no frames.
+	f.Add([]byte{streamfmt.Magic, streamfmt.Version, byte(SZT), 1, 0x80, 0x80, 0x80, 0x80, 0x80, 0x20, 1})
 	f.Fuzz(func(t *testing.T, buf []byte) {
+		// Under default options only the writer bounds the NaN fill of a
+		// huge declared geometry: the capped writer stops it, and no
+		// allocation may follow the header's claim.
+		_, err := DecompressStreamSalvage(bytes.NewReader(buf), faultio.FailWriter(io.Discard, 64<<10))
+		if err != nil && !typedOK(err) {
+			t.Fatalf("default options: untyped error %v", err)
+		}
+
 		var out bytes.Buffer
 		// Salvage honors opt-in DecodeLimits like every decoder; without
 		// them a hostile header claiming a huge geometry would make the
 		// harness itself buffer unbounded NaN fill.
 		lim := &DecodeLimits{MaxElements: 1 << 16, MaxChunkBytes: 1 << 20}
-		rep, err := DecompressStreamSalvage(bytes.NewReader(buf), &out, lim)
+		rep, err := DecompressStreamSalvage(bytes.NewReader(buf), &out, WithLimits(lim))
 		if err != nil {
 			return
 		}

@@ -290,7 +290,7 @@ func TestGoldenParityRepair(t *testing.T) {
 	if _, err := DecompressStreamOpts(bytes.NewReader(buf), &clean); err != nil {
 		t.Fatalf("sequential decode: %v", err)
 	}
-	rep, err := DecompressStreamSalvage(bytes.NewReader(buf), io.Discard, nil)
+	rep, err := DecompressStreamSalvage(bytes.NewReader(buf), io.Discard)
 	if err != nil || rep.Lost() != 0 {
 		t.Fatalf("clean salvage: err %v, lost %v", err, rep.LostChunks)
 	}
@@ -303,7 +303,7 @@ func TestGoldenParityRepair(t *testing.T) {
 		damaged := append([]byte(nil), buf...)
 		damaged[(scan.Frames[c].Offset+scan.Frames[c].End)/2] ^= 0x20
 		var out bytes.Buffer
-		rep, err := DecompressStreamSalvage(bytes.NewReader(damaged), &out, nil)
+		rep, err := DecompressStreamSalvage(bytes.NewReader(damaged), &out)
 		if err != nil {
 			t.Fatalf("chunk %d: salvage: %v", c, err)
 		}

@@ -16,9 +16,10 @@ import (
 // undamaged chunks on both sides of a corrupted frame are still
 // recoverable:
 //
-//   - If the tail index frame verifies (its own CRC), it fixes every
-//     chunk frame's offset exactly, so a chunk whose length prefix was
-//     destroyed does not desynchronize the frames after it.
+//   - If OpenIndex trusts the tail index frame (its CRC verifies and
+//     its lengths tile the container), the index fixes every frame's
+//     extent exactly, so a chunk whose length prefix was destroyed does
+//     not desynchronize the frames after it.
 //   - Without the index (damaged or truncated away), the scan walks
 //     frames forward trusting each length prefix; a chunk that fails
 //     its CRC but has a plausible extent is skipped in place, and the
@@ -32,23 +33,25 @@ import (
 // Parity containers (version 0x02) upgrade the index-anchored scan from
 // damage-tolerant to damage-repairing: a group that lost exactly one
 // chunk, with its parity frame and all sibling chunks intact, gets that
-// chunk reconstructed byte-identically by XOR and re-verified against
-// the chunk CRC recorded in the sealed index. The forward scan cannot
-// repair — without the index there is no trusted per-chunk CRC to prove
-// a reconstruction against — so index loss degrades to skip-and-report.
+// chunk reconstructed by StreamIndex.RepairChunk, byte-identically and
+// re-verified against the chunk CRC recorded in the sealed index. The
+// forward scan cannot repair — without the index there is no trusted
+// per-chunk CRC to prove a reconstruction against — so index loss
+// degrades to skip-and-report.
 
-// FrameInfo describes one chunk frame's salvage outcome.
+// FrameInfo describes one frame's salvage outcome.
 type FrameInfo struct {
-	// Seq is the chunk's field-order index.
+	// Seq is the chunk's field-order index (the group's, for a parity
+	// frame).
 	Seq int
 	// Offset and End delimit the frame (tag byte through payload) in
-	// the container, when known; End == 0 means the extent is unknown
-	// (structure lost before this frame).
+	// the container. The forward scan may delimit a frame by its length
+	// prefix whose End lies past the end of a truncated container.
 	Offset, End int64
 	// Len is the frame's payload length (from the index when available,
-	// else the frame's own prefix); zero when unknown.
+	// else the frame's own prefix).
 	Len uint64
-	// Payload is the CRC-verified chunk payload, nil when damaged.
+	// Payload is the CRC-verified payload, nil when damaged.
 	Payload []byte
 	// Damaged reports that the frame could not be verified.
 	Damaged bool
@@ -65,18 +68,20 @@ type ScanReport struct {
 	Header Header
 	// HeaderLen is the container offset where frames begin.
 	HeaderLen int64
-	// Frames has exactly Header.Chunks() entries, in field order.
+	// Frames holds the chunk frames the scan delimited, in field order
+	// (Frames[i].Seq == i). Under a verified index that is every chunk
+	// of the header; otherwise the list ends where the forward scan
+	// lost the frame structure, and every chunk past its last entry is
+	// lost with unknown extent. Its length is bounded by the
+	// container's bytes, never by the header's chunk count.
 	Frames []FrameInfo
-	// Parity has one entry per parity group (nil for parity-free
-	// containers); a parity frame's Payload is only kept while repair
-	// runs and is nil in the returned report.
+	// Parity holds the parity frames the scan delimited, one per group
+	// in order (nil for parity-free containers); a group past its last
+	// entry lost its parity frame.
 	Parity []FrameInfo
-	// ChunkCRCs holds the per-chunk payload CRCs recorded in a verified
-	// v2 index, nil otherwise.
-	ChunkCRCs []uint32
-	// IndexOK reports whether the tail index frame verified; when true,
-	// frame offsets come from the index and a damaged frame cannot
-	// desynchronize its successors.
+	// IndexOK reports whether OpenIndex accepted the tail index frame;
+	// when true, frame extents come from the index and a damaged frame
+	// cannot desynchronize its successors.
 	IndexOK bool
 	// Truncated reports that the container ended before its structure
 	// did (the failure shape of an interrupted dump).
@@ -88,395 +93,112 @@ type ScanReport struct {
 // carries parity frames and a verified index. It fails only when the
 // header itself is unusable (no geometry to salvage against) or
 // violates lim; any damage past the header is reported per frame
-// instead.
+// instead. lim.MaxChunkBytes is applied per frame, so under a verified
+// index an oversized chunk is lost alone.
 func ScanSalvage(buf []byte, lim Limits) (*ScanReport, error) {
 	sr, err := NewReaderLimits(bytes.NewReader(buf), lim)
 	if err != nil {
 		return nil, err
 	}
-	hdr := sr.Header()
-	rep := &ScanReport{
-		Header:    hdr,
-		HeaderLen: sr.Consumed(),
-		Frames:    make([]FrameInfo, hdr.Chunks()),
-		Parity:    make([]FrameInfo, hdr.Groups()),
-	}
-	if hdr.ParityK == 0 {
-		rep.Parity = nil
-	}
-	for i := range rep.Frames {
-		rep.Frames[i].Seq = i
-	}
-	for g := range rep.Parity {
-		rep.Parity[g].Seq = g
-	}
-	if ib, _, ok := findIndex(buf, rep.HeaderLen, &hdr); ok {
-		rep.IndexOK = true
-		rep.ChunkCRCs = ib.crcs
-		scanWithIndex(buf, rep, ib, lim)
-		repairGroups(rep)
-		for g := range rep.Parity {
-			rep.Parity[g].Payload = nil
-		}
+	rep := &ScanReport{Header: sr.Header(), HeaderLen: sr.Consumed()}
+	rs := bytes.NewReader(buf)
+	ix, err := OpenIndex(rs, Limits{MaxElements: lim.MaxElements})
+	if err != nil {
+		scanForward(buf, rep, lim)
 		return rep, nil
 	}
-	scanForward(buf, rep, lim)
+	rep.IndexOK = true
+	verify := func(seq int, off, end int64, tag byte, want uint64) FrameInfo {
+		f := FrameInfo{Seq: seq, Offset: off, End: end, Len: want}
+		if want > lim.chunkCap() {
+			f.Reason = fmt.Sprintf("chunk of %d bytes exceeds limit %d", want, lim.chunkCap())
+		} else {
+			f.Payload, f.Reason = verifyFrame(buf[off:end], tag, want)
+		}
+		f.Damaged = f.Payload == nil
+		return f
+	}
+	rep.Frames = make([]FrameInfo, ix.Chunks())
+	for i := range rep.Frames {
+		off, end := ix.FrameExtent(i)
+		rep.Frames[i] = verify(i, off, end, tagChunk, ix.Lens[i])
+	}
+	for g := range ix.PLens {
+		off, end := ix.ParityExtent(g)
+		p := verify(g, off, end, tagParity, ix.PLens[g])
+		rep.Parity = append(rep.Parity, p)
+		lo, hi := rep.Header.GroupRange(g)
+		lost, n := 0, 0
+		for i := lo; i < hi; i++ {
+			if rep.Frames[i].Damaged {
+				lost, n = i, n+1
+			}
+		}
+		if p.Damaged || n != 1 {
+			continue
+		}
+		// A reconstruction that fails the index's chunk CRC leaves the
+		// chunk lost: repair never invents data.
+		if payload, _, err := ix.RepairChunk(rs, lost); err == nil {
+			f := &rep.Frames[lost]
+			f.Payload, f.Damaged, f.Repaired, f.Reason = payload, false, true, ""
+		}
+	}
 	return rep, nil
 }
 
-// indexBody is a parsed, CRC-verified sealing index.
-type indexBody struct {
-	// lens holds each chunk frame's payload length.
-	lens []uint64
-	// plens holds each parity frame's payload length (v2 only).
-	plens []uint64
-	// crcs holds each chunk payload's CRC (v2 only).
-	crcs []uint32
-}
-
-// findIndex locates and verifies the sealing index frame near the tail:
-// a tagIndex byte whose body parses to exactly the header's chunk (and,
-// for parity containers, group) geometry, whose CRC verifies, and whose
-// frame ends exactly at the end of the buffer. The CRC makes a false
-// positive on payload bytes vanishingly unlikely. The returned start is
-// the tag byte's offset in buf (the seekable path checks it against the
-// offsets the lengths imply; the salvage path does not need it).
-func findIndex(buf []byte, headerLen int64, hdr *Header) (*indexBody, int64, bool) {
-	// The smallest index frame is tag + count varint + CRC.
-	for start := int64(len(buf)) - 6; start >= headerLen; start-- {
-		if buf[start] != tagIndex {
-			continue
-		}
-		if ib, ok := parseIndexAt(buf[start+1:], hdr); ok {
-			return ib, start, true
-		}
-	}
-	return nil, 0, false
-}
-
-// parseIndexAt parses an index body + CRC that must consume body exactly.
-func parseIndexAt(body []byte, hdr *Header) (*indexBody, bool) {
-	chunks := hdr.Chunks()
-	off := 0
-	count, k := binary.Uvarint(body)
-	// Each length is at least one varint byte, so a count the remaining
-	// body cannot possibly hold is rejected before the lengths slice is
-	// allocated (a header declaring 2^40 chunks must not cost 8 TiB here).
-	if k <= 0 || count != uint64(chunks) || count > uint64(len(body)) {
-		return nil, false
-	}
-	off += k
-	ib := &indexBody{lens: make([]uint64, chunks)}
-	for i := range ib.lens {
-		l, k := binary.Uvarint(body[off:])
-		if k <= 0 || l == 0 || l > MaxFrameLen {
-			return nil, false
-		}
-		ib.lens[i] = l
-		off += k
-	}
-	if hdr.ParityK > 0 {
-		groups := hdr.Groups()
-		pc, k := binary.Uvarint(body[off:])
-		if k <= 0 || pc != uint64(groups) {
-			return nil, false
-		}
-		off += k
-		ib.plens = make([]uint64, groups)
-		for g := range ib.plens {
-			l, k := binary.Uvarint(body[off:])
-			// A parity payload is exactly as long as the group's longest
-			// chunk payload; anything else is not this container's index.
-			if k <= 0 || l != groupParityLen(ib.lens, hdr, g) {
-				return nil, false
-			}
-			ib.plens[g] = l
-			off += k
-		}
-		if len(body)-off < 4*chunks {
-			return nil, false
-		}
-		ib.crcs = make([]uint32, chunks)
-		for i := range ib.crcs {
-			ib.crcs[i] = binary.BigEndian.Uint32(body[off:])
-			off += 4
-		}
-	}
-	if len(body)-off != 4 {
-		return nil, false
-	}
-	if crc32.ChecksumIEEE(body[:off]) != binary.BigEndian.Uint32(body[off:]) {
-		return nil, false
-	}
-	return ib, true
-}
-
-// groupParityLen returns the parity payload length group g must have:
-// the longest chunk payload in the group.
-func groupParityLen(lens []uint64, hdr *Header, g int) uint64 {
-	lo, hi := hdr.GroupRange(g)
-	var max uint64
-	for i := lo; i < hi; i++ {
-		if lens[i] > max {
-			max = lens[i]
-		}
-	}
-	return max
-}
-
-// frameLen returns the full on-disk frame size for a payload of l
-// bytes: tag, length varint, CRC, payload.
-func frameLen(l uint64) int64 {
-	return int64(1+uvarintLen(l)+4) + int64(l)
-}
-
-// scanWithIndex verifies each frame at the offset the index implies,
-// walking the interleaved chunk/parity layout; a frame that disagrees
-// with the index in any way is damaged, but its successors keep their
-// known offsets.
-func scanWithIndex(buf []byte, rep *ScanReport, ib *indexBody, lim Limits) {
-	k := rep.Header.ParityK
-	off := rep.HeaderLen
-	g := 0
-	for i := range rep.Frames {
-		f := &rep.Frames[i]
-		f.Offset = off
-		f.Len = ib.lens[i]
-		f.End = off + frameLen(ib.lens[i])
-		off = f.End
-		scanOneFrame(buf, rep, f, tagChunk, ib.lens[i], lim)
-		if k > 0 && (i%k == k-1 || i == len(rep.Frames)-1) {
-			p := &rep.Parity[g]
-			p.Offset = off
-			p.Len = ib.plens[g]
-			p.End = off + frameLen(ib.plens[g])
-			off = p.End
-			scanOneFrame(buf, rep, p, tagParity, ib.plens[g], lim)
-			g++
-		}
-	}
-}
-
-// scanOneFrame verifies one frame (chunk or parity) whose extent is
-// already recorded in f, filling Payload or Damaged/Reason.
-func scanOneFrame(buf []byte, rep *ScanReport, f *FrameInfo, tag byte, want uint64, lim Limits) {
-	if want > lim.chunkCap() {
-		f.Damaged = true
-		f.Reason = fmt.Sprintf("chunk of %d bytes exceeds limit %d", want, lim.chunkCap())
-		return
-	}
-	if f.End > int64(len(buf)) {
-		f.Damaged = true
-		f.Reason = "frame extends past the container"
-		rep.Truncated = true
-		return
-	}
-	payload, reason := verifyTaggedFrame(buf[f.Offset:f.End], tag, want)
-	if payload == nil {
-		f.Damaged = true
-		f.Reason = reason
-		return
-	}
-	f.Payload = payload
-}
-
-// repairGroups reconstructs single-loss parity groups in place: for each
-// group with exactly one damaged chunk, an intact parity frame, and all
-// sibling chunks intact, the lost payload is the XOR of parity and
-// siblings, truncated to the index length and proven against the chunk
-// CRC the sealed index recorded.
-func repairGroups(rep *ScanReport) {
-	k := rep.Header.ParityK
-	if k == 0 || !rep.IndexOK {
-		return
-	}
-	for g := range rep.Parity {
-		pf := &rep.Parity[g]
-		if pf.Damaged || pf.Payload == nil {
-			continue
-		}
-		lo, hi := rep.Header.GroupRange(g)
-		victim := -1
-		multi := false
-		for i := lo; i < hi; i++ {
-			if rep.Frames[i].Damaged {
-				if victim >= 0 {
-					multi = true
-					break
-				}
-				victim = i
-			}
-		}
-		if multi || victim < 0 {
-			continue
-		}
-		acc := append([]byte(nil), pf.Payload...)
-		for i := lo; i < hi; i++ {
-			if i == victim {
-				continue
-			}
-			xorInto(acc, rep.Frames[i].Payload)
-		}
-		f := &rep.Frames[victim]
-		rec := acc[:f.Len]
-		if crc32.ChecksumIEEE(rec) != rep.ChunkCRCs[victim] {
-			// Reconstruction does not prove out (e.g. the index region
-			// that survived its CRC is stale); the chunk stays lost.
-			continue
-		}
-		f.Payload = rec
-		f.Damaged = false
-		f.Repaired = true
-		f.Reason = ""
-	}
-}
-
-// xorInto folds src into acc; src is never longer than acc (parity
-// payloads span the group's longest chunk).
-func xorInto(acc, src []byte) {
-	for i, b := range src {
-		acc[i] ^= b
-	}
-}
-
-// verifyFrame checks one complete chunk frame region against the
-// index's length for it, returning the payload or a rejection reason.
-func verifyFrame(frame []byte, want uint64) ([]byte, string) {
-	return verifyTaggedFrame(frame, tagChunk, want)
-}
-
-// verifyTaggedFrame is verifyFrame for an arbitrary expected tag.
-func verifyTaggedFrame(frame []byte, tag byte, want uint64) ([]byte, string) {
-	if frame[0] != tag {
-		return nil, fmt.Sprintf("frame tag 0x%02x", frame[0])
-	}
-	plen, k := binary.Uvarint(frame[1:])
-	if k <= 0 || plen != want {
-		return nil, fmt.Sprintf("length prefix %d disagrees with index (%d)", plen, want)
-	}
-	// A corrupted, non-canonically-wide varint can claim the right value
-	// in too many bytes; the CRC and payload must still fit the extent
-	// the index implies.
-	crcOff := 1 + k
-	if crcOff+4+int(want) != len(frame) {
-		return nil, "length prefix width disagrees with index extent"
-	}
-	crc := binary.BigEndian.Uint32(frame[crcOff:])
-	payload := frame[crcOff+4:]
-	if crc32.ChecksumIEEE(payload) != crc {
-		return nil, "checksum mismatch"
-	}
-	return payload, ""
-}
-
-// scanForward walks frames trusting per-frame length prefixes (the
-// no-index fallback). A CRC-failed frame with a plausible extent is
-// skipped in place; the first structural break loses the rest. No
-// repair is attempted on this path — without the index there is no
-// trusted chunk CRC to prove a reconstruction against.
+// scanForward walks frames trusting each length prefix (the no-index
+// fallback) and appends every frame it delimits to rep. A frame that
+// fails its CRC keeps its extent and is skipped in place; the first
+// structural break ends the scan and marks the container truncated.
 func scanForward(buf []byte, rep *ScanReport, lim Limits) {
-	pk := rep.Header.ParityK
+	k := rep.Header.ParityK
+	chunks := rep.Header.Chunks()
 	off := rep.HeaderLen
-	g := 0
-	for i := range rep.Frames {
-		f := &rep.Frames[i]
-		ok, next := scanForwardFrame(buf, rep, f, tagChunk, i, off, lim)
-		if !ok {
+	// next delimits the frame at off into list and reports whether the
+	// scan can go on past it.
+	next := func(list *[]FrameInfo, seq int, tag byte) bool {
+		f, ok := forwardFrame(buf, off, tag, lim)
+		if f.End > 0 {
+			f.Seq = seq
+			*list = append(*list, f)
+		}
+		off = f.End
+		return ok
+	}
+	for i := 0; i < chunks; i++ {
+		closesGroup := k > 0 && (i%k == k-1 || i == chunks-1)
+		if !next(&rep.Frames, i, tagChunk) || closesGroup && !next(&rep.Parity, i/k, tagParity) {
+			rep.Truncated = true
 			return
 		}
-		off = next
-		if pk > 0 && (i%pk == pk-1 || i == len(rep.Frames)-1) && f.End != 0 {
-			p := &rep.Parity[g]
-			ok, next := scanForwardFrame(buf, rep, p, tagParity, i+1, off, lim)
-			if !ok {
-				return
-			}
-			off = next
-			g++
-		}
-	}
-	for ; g < len(rep.Parity); g++ {
-		p := &rep.Parity[g]
-		if p.End == 0 && !p.Damaged {
-			p.Damaged, p.Reason = true, "container ended"
-		}
 	}
 }
 
-// scanForwardFrame parses one frame at off trusting its own length
-// prefix. It returns false when the structure is lost (everything from
-// chunk restAt on has been marked), else the offset past the frame. A
-// frame that merely fails its CRC keeps a valid extent and is skipped
-// in place.
-func scanForwardFrame(buf []byte, rep *ScanReport, f *FrameInfo, tag byte, restAt int, off int64, lim Limits) (bool, int64) {
-	f.Offset = off
-	if off >= int64(len(buf)) {
-		f.Damaged, f.Reason, f.Offset = true, "container ended", 0
-		rep.Truncated = true
-		return true, off
-	}
-	if buf[off] != tag {
-		// Unknown tag with no index to resync against: the frame
-		// boundary is lost for good.
-		markRest(rep, restAt, fmt.Sprintf("cannot resync past frame tag 0x%02x without an index", buf[off]))
-		return false, 0
+// forwardFrame parses the frame at off by its own length prefix. It
+// returns ok when the next frame starts at f.End. Otherwise the frame
+// structure is lost there, and f is delimited (End > 0) only when its
+// prefix parsed but the frame runs past the end of the container.
+func forwardFrame(buf []byte, off int64, tag byte, lim Limits) (f FrameInfo, ok bool) {
+	if off >= int64(len(buf)) || buf[off] != tag {
+		return f, false
 	}
 	plen, k := binary.Uvarint(buf[off+1:])
-	if k <= 0 || plen == 0 || plen > MaxFrameLen {
-		markRest(rep, restAt, "unparseable length prefix and no index to resync against")
-		return false, 0
+	if k <= 0 || plen == 0 || plen > lim.chunkCap() {
+		return f, false
 	}
-	if plen > lim.chunkCap() {
-		markRest(rep, restAt, fmt.Sprintf("chunk of %d bytes exceeds limit %d", plen, lim.chunkCap()))
-		return false, 0
-	}
-	f.Len = plen
+	f.Offset, f.Len = off, plen
 	f.End = off + int64(1+k+4) + int64(plen)
 	if f.End > int64(len(buf)) {
 		f.Damaged, f.Reason = true, "frame extends past the container"
-		rep.Truncated = true
-		markRest(rep, restAt+1, "container ended")
-		return false, 0
+		return f, false
 	}
 	crcOff := off + int64(1+k)
-	crc := binary.BigEndian.Uint32(buf[crcOff:])
 	payload := buf[crcOff+4 : f.End]
-	if crc32.ChecksumIEEE(payload) == crc {
-		if tag == tagChunk {
-			f.Payload = payload
-		}
+	if crc32.ChecksumIEEE(payload) == binary.BigEndian.Uint32(buf[crcOff:]) {
+		f.Payload = payload
 	} else {
 		f.Damaged, f.Reason = true, "checksum mismatch"
 	}
-	return true, f.End
-}
-
-// markRest damages every chunk frame from i on — and, for parity
-// containers, every parity frame from i's group on — with reason
-// (offsets unknown).
-func markRest(rep *ScanReport, i int, reason string) {
-	for j := i; j < len(rep.Frames); j++ {
-		f := &rep.Frames[j]
-		f.Damaged, f.Reason = true, reason
-		f.End = 0
-	}
-	if k := rep.Header.ParityK; k > 0 {
-		for g := i / k; g < len(rep.Parity); g++ {
-			p := &rep.Parity[g]
-			if p.Payload == nil && !p.Damaged {
-				p.Damaged, p.Reason, p.End = true, reason, 0
-			}
-		}
-	}
-	rep.Truncated = true
-}
-
-// uvarintLen returns the encoded width of v.
-func uvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
+	return f, true
 }

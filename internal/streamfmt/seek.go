@@ -87,11 +87,10 @@ func OpenIndex(rs io.ReadSeeker, lim Limits) (*StreamIndex, error) {
 		return nil, fmt.Errorf("%w: %d-byte container cannot hold %d chunk frames and an index",
 			ErrTruncated, size, chunks)
 	}
-	ib, idxOff, err := ix.findTailIndex(rs, chunks)
-	if err != nil {
+	if err := ix.findTailIndex(rs, chunks); err != nil {
 		return nil, err
 	}
-	ix.Lens, ix.PLens, ix.CRCs, ix.IndexOff = ib.lens, ib.plens, ib.crcs, idxOff
+	idxOff := ix.IndexOff
 
 	// Rebuild the offset table — chunk frames interleaved with one
 	// parity frame per group on the v2 layout — and prove it tiles
@@ -104,7 +103,7 @@ func OpenIndex(rs io.ReadSeeker, lim Limits) (*StreamIndex, error) {
 	}
 	off := ix.HeaderLen
 	g := 0
-	for i, l := range ib.lens {
+	for i, l := range ix.Lens {
 		if l > lim.chunkCap() {
 			return nil, fmt.Errorf("%w: index declares chunk %d of %d bytes, limit %d",
 				ErrLimit, i, l, lim.chunkCap())
@@ -116,7 +115,7 @@ func OpenIndex(rs io.ReadSeeker, lim Limits) (*StreamIndex, error) {
 				ErrCorrupt, i, off, idxOff)
 		}
 		if k > 0 && (i%k == k-1 || i == chunks-1) {
-			pl := ib.plens[g]
+			pl := ix.PLens[g]
 			if pl > lim.chunkCap() {
 				return nil, fmt.Errorf("%w: index declares parity frame %d of %d bytes, limit %d",
 					ErrLimit, g, pl, lim.chunkCap())
@@ -142,8 +141,9 @@ func OpenIndex(rs io.ReadSeeker, lim Limits) (*StreamIndex, error) {
 // locates the sealing index frame in it: a tagIndex byte whose body
 // parses to exactly `chunks` lengths (plus parity lengths and chunk
 // CRCs on the v2 layout), whose CRC verifies, and whose frame ends
-// exactly at the end of the container.
-func (ix *StreamIndex) findTailIndex(rs io.ReadSeeker, chunks int) (*indexBody, int64, error) {
+// exactly at the end of the container. It fills in Lens, PLens, CRCs
+// and IndexOff.
+func (ix *StreamIndex) findTailIndex(rs io.ReadSeeker, chunks int) error {
 	maxIndex := int64(1+binary.MaxVarintLen64+4) + int64(chunks)*binary.MaxVarintLen64
 	if ix.Hdr.ParityK > 0 {
 		maxIndex += int64(1+ix.Hdr.Groups())*binary.MaxVarintLen64 + 4*int64(chunks)
@@ -157,21 +157,154 @@ func (ix *StreamIndex) findTailIndex(rs io.ReadSeeker, chunks int) (*indexBody, 
 	// an overflowed maxIndex must fail typed, not size an allocation.
 	winLen := ix.Size - winStart
 	if winLen < minIndexLen || winLen > ix.Size-ix.HeaderLen {
-		return nil, 0, fmt.Errorf("%w: %d-chunk index window of %d bytes is impossible in a %d-byte container",
+		return fmt.Errorf("%w: %d-chunk index window of %d bytes is impossible in a %d-byte container",
 			ErrCorrupt, chunks, winLen, ix.Size)
 	}
 	if _, err := rs.Seek(winStart, io.SeekStart); err != nil {
-		return nil, 0, fmt.Errorf("streamfmt: seeking container tail: %w", err)
+		return fmt.Errorf("streamfmt: seeking container tail: %w", err)
 	}
 	win := make([]byte, winLen)
 	if _, err := io.ReadFull(rs, win); err != nil {
-		return nil, 0, readErr(err, "index window")
+		return readErr(err, "index window")
 	}
-	if ib, start, ok := findIndex(win, 0, &ix.Hdr); ok {
-		return ib, winStart + start, nil
+	// The smallest index frame is tag + count varint + CRC; the CRC
+	// makes a false match on payload bytes vanishingly unlikely.
+	for start := winLen - minIndexLen; start >= 0; start-- {
+		if win[start] != tagIndex {
+			continue
+		}
+		if ix.parseIndexAt(win[start+1:]) {
+			ix.IndexOff = winStart + start
+			return nil
+		}
 	}
-	return nil, 0, fmt.Errorf("%w: no verifiable index frame at the container tail (unsealed, truncated, or corrupt; salvage can attempt recovery)",
+	return fmt.Errorf("%w: no verifiable index frame at the container tail (unsealed, truncated, or corrupt; salvage can attempt recovery)",
 		ErrCorrupt)
+}
+
+// parseIndexAt parses an index body + CRC that must consume body
+// exactly, and on success stores its lengths and CRCs in ix.
+func (ix *StreamIndex) parseIndexAt(body []byte) bool {
+	hdr := &ix.Hdr
+	chunks := hdr.Chunks()
+	off := 0
+	count, k := binary.Uvarint(body)
+	// Each length is at least one varint byte, so a count the remaining
+	// body cannot possibly hold is rejected before the lengths slice is
+	// allocated (a header declaring 2^40 chunks must not cost 8 TiB here).
+	if k <= 0 || count != uint64(chunks) || count > uint64(len(body)) {
+		return false
+	}
+	off += k
+	lens := make([]uint64, chunks)
+	for i := range lens {
+		l, k := binary.Uvarint(body[off:])
+		if k <= 0 || l == 0 || l > MaxFrameLen {
+			return false
+		}
+		lens[i] = l
+		off += k
+	}
+	var plens []uint64
+	var crcs []uint32
+	if hdr.ParityK > 0 {
+		groups := hdr.Groups()
+		pc, k := binary.Uvarint(body[off:])
+		if k <= 0 || pc != uint64(groups) {
+			return false
+		}
+		off += k
+		plens = make([]uint64, groups)
+		for g := range plens {
+			l, k := binary.Uvarint(body[off:])
+			// A parity payload is exactly as long as the group's longest
+			// chunk payload; anything else is not this container's index.
+			if k <= 0 || l != groupParityLen(lens, hdr, g) {
+				return false
+			}
+			plens[g] = l
+			off += k
+		}
+		if len(body)-off < 4*chunks {
+			return false
+		}
+		crcs = make([]uint32, chunks)
+		for i := range crcs {
+			crcs[i] = binary.BigEndian.Uint32(body[off:])
+			off += 4
+		}
+	}
+	if len(body)-off != 4 {
+		return false
+	}
+	if crc32.ChecksumIEEE(body[:off]) != binary.BigEndian.Uint32(body[off:]) {
+		return false
+	}
+	ix.Lens, ix.PLens, ix.CRCs = lens, plens, crcs
+	return true
+}
+
+// groupParityLen returns the parity payload length group g must have:
+// the longest chunk payload in the group.
+func groupParityLen(lens []uint64, hdr *Header, g int) uint64 {
+	lo, hi := hdr.GroupRange(g)
+	var max uint64
+	for i := lo; i < hi; i++ {
+		if lens[i] > max {
+			max = lens[i]
+		}
+	}
+	return max
+}
+
+// frameLen returns the full on-disk frame size for a payload of l
+// bytes: tag, length varint, CRC, payload.
+func frameLen(l uint64) int64 {
+	return int64(1+uvarintLen(l)+4) + int64(l)
+}
+
+// uvarintLen returns the encoded width of v.
+func uvarintLen(v uint64) int {
+	n := 1
+	for v >= 0x80 {
+		v >>= 7
+		n++
+	}
+	return n
+}
+
+// verifyFrame checks one complete frame region (tag byte through
+// payload) against the tag and payload length the index gives it,
+// returning the payload or a rejection reason.
+func verifyFrame(frame []byte, tag byte, want uint64) ([]byte, string) {
+	if frame[0] != tag {
+		return nil, fmt.Sprintf("frame tag 0x%02x", frame[0])
+	}
+	plen, k := binary.Uvarint(frame[1:])
+	if k <= 0 || plen != want {
+		return nil, fmt.Sprintf("length prefix %d disagrees with index (%d)", plen, want)
+	}
+	// A corrupted, non-canonically-wide varint can claim the right value
+	// in too many bytes; the CRC and payload must still fit the extent
+	// the index implies.
+	crcOff := 1 + k
+	if crcOff+4+int(want) != len(frame) {
+		return nil, "length prefix width disagrees with index extent"
+	}
+	crc := binary.BigEndian.Uint32(frame[crcOff:])
+	payload := frame[crcOff+4:]
+	if crc32.ChecksumIEEE(payload) != crc {
+		return nil, "checksum mismatch"
+	}
+	return payload, ""
+}
+
+// xorInto folds src into acc; src is never longer than acc (parity
+// payloads span the group's longest chunk).
+func xorInto(acc, src []byte) {
+	for i, b := range src {
+		acc[i] ^= b
+	}
 }
 
 // Chunks returns the number of chunk frames in the container.
@@ -270,7 +403,7 @@ func (fr *FrameReader) Next(scratch []byte) (payload, frame []byte, seq int, err
 	fr.pos = end
 	fr.read += int64(n)
 	fr.next++
-	payload, reason := verifyFrame(frame, fr.ix.Lens[i])
+	payload, reason := verifyFrame(frame, tagChunk, fr.ix.Lens[i])
 	if payload == nil {
 		return nil, nil, i, fmt.Errorf("%w: chunk %d: %s", ErrFrameDamaged, i, reason)
 	}
@@ -337,7 +470,7 @@ func fetchVerified(rs io.ReadSeeker, off, end int64, tag byte, want uint64, what
 	if _, err := io.ReadFull(rs, frame); err != nil {
 		return nil, readErr(err, what)
 	}
-	payload, reason := verifyTaggedFrame(frame, tag, want)
+	payload, reason := verifyFrame(frame, tag, want)
 	if payload == nil {
 		return nil, fmt.Errorf("%w: %s: %s", ErrCorrupt, what, reason)
 	}

@@ -147,3 +147,60 @@ func TestFrameReaderDetectsPayloadDamage(t *testing.T) {
 		}
 	}
 }
+
+// TestIndexReadersAgree rewrites one chunk length in a sealed index
+// frame as a non-canonical two-byte varint of the same value and keeps
+// the written CRC. The CRC covers the bytes as written, so every index
+// reader — the sequential Reader, OpenIndex and the salvage scan — must
+// refuse the frame; none may re-encode what it parsed and accept it.
+func TestIndexReadersAgree(t *testing.T) {
+	for _, c := range []struct {
+		name     string
+		hdr      Header
+		payloads [][]byte
+	}{
+		{"v1", testHeader(), seekPayloads()},
+		{"v2", parityHeader(2), parityPayloads()},
+	} {
+		stream := buildStream(t, c.hdr, c.payloads)
+		ix, err := OpenIndex(bytes.NewReader(stream), Limits{})
+		if err != nil {
+			t.Fatalf("%s: clean container: %v", c.name, err)
+		}
+		// tag, one-byte count, then chunk 0's one-byte length.
+		at := ix.IndexOff + 2
+		if b := stream[at]; b >= 0x80 || uint64(b) != ix.Lens[0] {
+			t.Fatalf("%s: index byte %d is 0x%02x, want chunk 0's length %d", c.name, at, b, ix.Lens[0])
+		}
+		mut := append([]byte(nil), stream[:at]...)
+		mut = append(mut, stream[at]|0x80, 0x00)
+		mut = append(mut, stream[at+1:]...)
+
+		r, err := NewReader(bytes.NewReader(mut))
+		if err != nil {
+			t.Fatalf("%s: header: %v", c.name, err)
+		}
+		for {
+			_, err := r.Next(nil)
+			if err == io.EOF {
+				t.Fatalf("%s: Reader accepted the non-canonical index", c.name)
+			}
+			if err != nil {
+				if !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("%s: Reader: err = %v, want ErrCorrupt", c.name, err)
+				}
+				break
+			}
+		}
+		if _, err := OpenIndex(bytes.NewReader(mut), Limits{}); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s: OpenIndex: err = %v, want ErrCorrupt", c.name, err)
+		}
+		rep, err := ScanSalvage(mut, Limits{})
+		if err != nil {
+			t.Fatalf("%s: ScanSalvage: %v", c.name, err)
+		}
+		if rep.IndexOK {
+			t.Fatalf("%s: ScanSalvage trusted the non-canonical index", c.name)
+		}
+	}
+}

@@ -43,6 +43,7 @@ package streamfmt
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -206,10 +207,8 @@ func (h *Header) validate() error {
 // pipeline's bounded-memory guarantee survives — and flushes it as a
 // parity frame after every K chunks and after the final partial group.
 type Writer struct {
+	frameLog
 	w        io.Writer
-	lens     []uint64
-	plens    []uint64
-	crcs     []uint32
 	parity   []byte
 	parityK  int
 	groupN   int
@@ -241,7 +240,7 @@ func NewWriter(w io.Writer, h Header) (*Writer, error) {
 	if _, err := w.Write(buf); err != nil {
 		return nil, err
 	}
-	return &Writer{w: w, expect: h.Chunks(), parityK: h.ParityK, lens: make([]uint64, 0, h.Chunks())}, nil
+	return &Writer{w: w, expect: h.Chunks(), parityK: h.ParityK, frameLog: frameLog{lens: make([]uint64, 0, h.Chunks())}}, nil
 }
 
 // WriteChunk emits one chunk frame. Chunks must be written in field
@@ -319,9 +318,6 @@ func (sw *Writer) writeParity() error {
 	return nil
 }
 
-// Written returns the number of chunk frames emitted so far.
-func (sw *Writer) Written() int { return len(sw.lens) }
-
 // ParityWritten returns the number of parity frames emitted so far.
 func (sw *Writer) ParityWritten() int { return len(sw.plens) }
 
@@ -341,37 +337,49 @@ func (sw *Writer) Finish() error {
 		}
 	}
 	sw.finished = true
-	body := binary.AppendUvarint(nil, uint64(len(sw.lens)))
-	for _, l := range sw.lens {
-		body = binary.AppendUvarint(body, l)
-	}
-	if sw.parityK > 0 {
-		body = binary.AppendUvarint(body, uint64(len(sw.plens)))
-		for _, l := range sw.plens {
-			body = binary.AppendUvarint(body, l)
-		}
-		for _, c := range sw.crcs {
-			body = binary.BigEndian.AppendUint32(body, c)
-		}
-	}
-	sw.scratch = sw.scratch[:0]
-	sw.scratch = append(sw.scratch, tagIndex)
-	sw.scratch = append(sw.scratch, body...)
-	sw.scratch = binary.BigEndian.AppendUint32(sw.scratch, crc32.ChecksumIEEE(body))
+	sw.scratch = sw.appendIndex(sw.scratch[:0], sw.parityK > 0)
 	_, err := sw.w.Write(sw.scratch)
 	return err
+}
+
+// frameLog records the frames of a container in order: what its
+// sealing index frame encodes.
+type frameLog struct {
+	lens  []uint64 // chunk payload lengths
+	plens []uint64 // parity payload lengths (parity containers only)
+	crcs  []uint32 // chunk payload CRCs (parity containers only)
+}
+
+// appendIndex appends the index frame that seals the logged frames —
+// tag, body, CRC of the body — with the parity extension when parity
+// is set. Writer.Finish emits it; Reader compares against it.
+func (l *frameLog) appendIndex(dst []byte, parity bool) []byte {
+	dst = append(dst, tagIndex)
+	body := len(dst)
+	dst = binary.AppendUvarint(dst, uint64(len(l.lens)))
+	for _, n := range l.lens {
+		dst = binary.AppendUvarint(dst, n)
+	}
+	if parity {
+		dst = binary.AppendUvarint(dst, uint64(len(l.plens)))
+		for _, n := range l.plens {
+			dst = binary.AppendUvarint(dst, n)
+		}
+		for _, c := range l.crcs {
+			dst = binary.BigEndian.AppendUint32(dst, c)
+		}
+	}
+	return binary.BigEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[body:]))
 }
 
 // Reader parses a stream container incrementally: NewReader consumes
 // the header, Next returns chunk payloads until the index frame, which
 // it verifies before reporting io.EOF.
 type Reader struct {
+	frameLog
 	br       *bufio.Reader
 	hdr      Header
 	lim      Limits
-	lens     []uint64
-	plens    []uint64
-	crcs     []uint32
 	groupN   int
 	groupMax uint64
 	pbuf     []byte
@@ -625,69 +633,27 @@ func (sr *Reader) readPayload(scratch []byte, n uint64) ([]byte, error) {
 	return buf, nil
 }
 
+// readIndex requires the rest of the index frame (its tag is already
+// consumed) to be, byte for byte, the one a Writer seals after the
+// frames read: a non-canonical varint or a stale CRC is corruption
+// here exactly as it is to OpenIndex.
 func (sr *Reader) readIndex() error {
 	if sr.hdr.ParityK > 0 && sr.groupN != 0 {
 		return fmt.Errorf("%w: index frame before the final group's parity frame", ErrCorrupt)
 	}
-	count, err := sr.uvarint()
+	if len(sr.lens) != sr.hdr.Chunks() {
+		return fmt.Errorf("%w: index frame after %d of the header's %d chunks",
+			ErrCorrupt, len(sr.lens), sr.hdr.Chunks())
+	}
+	want := sr.appendIndex(nil, sr.hdr.ParityK > 0)[1:]
+	got := make([]byte, len(want))
+	n, err := io.ReadFull(sr.br, got)
+	sr.consumed += int64(n)
 	if err != nil {
-		return err
+		return readErr(err, "index frame")
 	}
-	if count != uint64(len(sr.lens)) || count != uint64(sr.hdr.Chunks()) {
-		return fmt.Errorf("%w: index counts %d chunks, read %d, header promised %d",
-			ErrCorrupt, count, len(sr.lens), sr.hdr.Chunks())
-	}
-	body := binary.AppendUvarint(nil, count)
-	for i := range sr.lens {
-		l, err := sr.uvarint()
-		if err != nil {
-			return err
-		}
-		if l != sr.lens[i] {
-			return fmt.Errorf("%w: index length %d disagrees with chunk %d frame (%d)", ErrCorrupt, l, i, sr.lens[i])
-		}
-		body = binary.AppendUvarint(body, l)
-	}
-	if sr.hdr.ParityK > 0 {
-		pc, err := sr.uvarint()
-		if err != nil {
-			return err
-		}
-		if pc != uint64(len(sr.plens)) || pc != uint64(sr.hdr.Groups()) {
-			return fmt.Errorf("%w: index counts %d parity frames, read %d, header implies %d",
-				ErrCorrupt, pc, len(sr.plens), sr.hdr.Groups())
-		}
-		body = binary.AppendUvarint(body, pc)
-		for g := range sr.plens {
-			l, err := sr.uvarint()
-			if err != nil {
-				return err
-			}
-			if l != sr.plens[g] {
-				return fmt.Errorf("%w: index parity length %d disagrees with group %d frame (%d)",
-					ErrCorrupt, l, g, sr.plens[g])
-			}
-			body = binary.AppendUvarint(body, l)
-		}
-		var cb [4]byte
-		for i := range sr.crcs {
-			if _, err := io.ReadFull(sr.br, cb[:]); err != nil {
-				return readErr(err, "index chunk CRC")
-			}
-			sr.consumed += 4
-			if binary.BigEndian.Uint32(cb[:]) != sr.crcs[i] {
-				return fmt.Errorf("%w: index CRC for chunk %d disagrees with its frame", ErrCorrupt, i)
-			}
-			body = append(body, cb[:]...)
-		}
-	}
-	var crcb [4]byte
-	if _, err := io.ReadFull(sr.br, crcb[:]); err != nil {
-		return readErr(err, "index CRC")
-	}
-	sr.consumed += 4
-	if crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(crcb[:]) {
-		return fmt.Errorf("%w: index checksum mismatch", ErrCorrupt)
+	if !bytes.Equal(got, want) {
+		return fmt.Errorf("%w: index frame disagrees with the frames read", ErrCorrupt)
 	}
 	return nil
 }

@@ -17,10 +17,12 @@ import (
 // appropriate only for trusted input. Fields left zero are unlimited.
 //
 // Pass limits with WithLimits to DecompressStreamOpts, DecompressAny,
-// OpenArchive, OpenArchiveStream, or the seekable OpenStream, where
-// MaxElements is checked against the header geometry before the tail
-// index is even read and MaxChunkBytes against every index-declared
-// length before a frame buffer is allocated.
+// DecompressStreamSalvage, OpenArchive, OpenArchiveStream, or the
+// seekable OpenStream, where MaxElements is checked against the header
+// geometry before the tail index is even read and MaxChunkBytes against
+// every index-declared length before a frame buffer is allocated.
+// Salvage applies MaxChunkBytes per frame: an oversized chunk is lost
+// like a damaged one, not refused with the container.
 type DecodeLimits struct {
 	// MaxElements caps the total number of field elements a container
 	// may declare (the decoded size is 8 bytes per element).

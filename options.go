@@ -6,18 +6,19 @@ import (
 )
 
 // The unified options API. Every concurrent or limit-aware entry point
-// in the module — stream compress/decompress, CompressParallelOpts,
-// DecompressAny, the seekable OpenStream path, and both archive paths —
-// consumes the same StreamOption functional options resolved into one
-// StreamConfig.
+// in the module — stream compress/decompress, stream salvage,
+// CompressParallelOpts, DecompressAny, the seekable OpenStream path, and
+// both archive paths — consumes the same StreamOption functional options
+// resolved into one StreamConfig.
 //
 //	stats, err := repro.CompressStreamOpts(src, dst, dims, 1e-3, repro.SZT,
 //		repro.WithParity(16), repro.WithMemoryBudget(64<<20))
 //
 // Options that a given entry point has no use for are ignored by it
-// (WithParity on a decode, WithFloat32 on DecompressAny); the ctx and
-// DecodeLimits test tables keep the ones that matter — context and
-// limits — from being silently dropped by future wrappers.
+// (WithParity on a decode, WithFloat32 on DecompressAny and
+// DecompressStreamSalvage); the ctx and DecodeLimits test tables keep
+// the ones that matter — context and limits — from being silently
+// dropped by future wrappers.
 
 // StreamConfig is the resolved configuration a []StreamOption builds.
 // The zero value means "all defaults"; fields left zero are defaulted
@@ -55,8 +56,8 @@ type StreamConfig struct {
 	Float32 bool
 }
 
-// StreamOption configures one entry point of the streaming, parallel,
-// archive, seekable-read, or DecompressAny API.
+// StreamOption configures one entry point of the streaming, salvage,
+// parallel, archive, seekable-read, or DecompressAny API.
 type StreamOption func(*StreamConfig)
 
 // resolveStreamConfig folds opts into a fresh config. Nil options are
@@ -150,10 +151,10 @@ func WithFloat32() StreamOption {
 // worker count does it shed workers. Explicitly set WithChunkRows /
 // WithWorkers values always win; the budget then sizes only the
 // remaining knob. Decode-side paths (DecompressStreamOpts, ReadRows,
-// DecompressAny) take chunk geometry from the container header, so the
-// budget there caps the worker count alone. The budget governs the
-// pipeline's own chunk buffers — the O(workers × chunk) term — not the
-// codec's transient working memory.
+// DecompressAny, DecompressStreamSalvage) take chunk geometry from the
+// container header, so the budget there caps the worker count alone.
+// The budget governs the pipeline's own chunk buffers — the
+// O(workers × chunk) term — not the codec's transient working memory.
 func WithMemoryBudget(bytes int64) StreamOption {
 	return func(c *StreamConfig) { c.MemoryBudget = bytes }
 }

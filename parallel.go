@@ -94,34 +94,34 @@ func decompressParallel(cfg *StreamConfig, buf []byte) ([]float64, []int, error)
 	off := 2
 	rankU, k := bitio.Uvarint(buf[off:])
 	if k == 0 || rankU == 0 || rankU > grid.MaxDims {
-		return nil, nil, fmt.Errorf("%w: rank %d", ErrCorrupt, rankU)
+		return nil, nil, fmt.Errorf("%w: rank %d", ErrCorrupted, rankU)
 	}
 	off += k
 	dims := make([]int, rankU)
 	for i := range dims {
 		d, k := bitio.Uvarint(buf[off:])
 		if k == 0 || d == 0 || d > 1<<40 {
-			return nil, nil, fmt.Errorf("%w: dimension %d", ErrCorrupt, d)
+			return nil, nil, fmt.Errorf("%w: dimension %d", ErrCorrupted, d)
 		}
 		dims[i] = int(d)
 		off += k
 	}
 	if err := grid.Validate(dims, -1); err != nil {
-		return nil, nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		return nil, nil, fmt.Errorf("%w: %v", ErrCorrupted, err)
 	}
 	if err := limits.checkElements(int64(grid.Size(dims))); err != nil {
 		return nil, nil, err
 	}
 	chunksU, k := bitio.Uvarint(buf[off:])
 	if k == 0 || chunksU == 0 || chunksU > uint64(dims[0]) {
-		return nil, nil, fmt.Errorf("%w: chunk count %d", ErrCorrupt, chunksU)
+		return nil, nil, fmt.Errorf("%w: chunk count %d", ErrCorrupted, chunksU)
 	}
 	off += k
 	// Each chunk needs at least a one-byte length prefix, so a count
 	// beyond the remaining bytes is structurally impossible — reject it
 	// before sizing the length table off an attacker-declared count.
 	if chunksU > uint64(len(buf)-off) {
-		return nil, nil, fmt.Errorf("%w: %d chunks declared with %d bytes left", ErrCorrupt, chunksU, len(buf)-off)
+		return nil, nil, fmt.Errorf("%w: %d chunks declared with %d bytes left", ErrCorrupted, chunksU, len(buf)-off)
 	}
 	chunks := int(chunksU)
 	lengths := make([]int, chunks)
@@ -129,7 +129,7 @@ func decompressParallel(cfg *StreamConfig, buf []byte) ([]float64, []int, error)
 	for c := range lengths {
 		l, k := bitio.Uvarint(buf[off:])
 		if k == 0 || l > uint64(len(buf)) {
-			return nil, nil, fmt.Errorf("%w: chunk %d length", ErrCorrupt, c)
+			return nil, nil, fmt.Errorf("%w: chunk %d length", ErrCorrupted, c)
 		}
 		if err := limits.checkChunkBytes(int64(l)); err != nil {
 			return nil, nil, err

@@ -8,6 +8,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/streamfmt"
@@ -93,7 +94,7 @@ func TestStreamParitySalvageRepair(t *testing.T) {
 		mut := append([]byte(nil), stream...)
 		mut[frames[i].End-1] ^= 0xA5
 		var out bytes.Buffer
-		rep, err := DecompressStreamSalvage(bytes.NewReader(mut), &out, nil)
+		rep, err := DecompressStreamSalvage(bytes.NewReader(mut), &out)
 		if err != nil {
 			t.Fatalf("chunk %d: salvage errored: %v", i, err)
 		}
@@ -127,7 +128,7 @@ func TestStreamParitySalvageMultiLoss(t *testing.T) {
 	mut[frames[3].End-1] ^= 0xA5 // group 1: second loss
 	mut[frames[4].End-1] ^= 0xA5 // group 2: sole loss, repairable
 	var out bytes.Buffer
-	rep, err := DecompressStreamSalvage(bytes.NewReader(mut), &out, nil)
+	rep, err := DecompressStreamSalvage(bytes.NewReader(mut), &out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +158,7 @@ func TestStreamParitySalvageDamagedParity(t *testing.T) {
 	mut[frames[0].End-1] ^= 0xA5
 	mut[parity[0].End-1] ^= 0xA5
 	var out bytes.Buffer
-	rep, err := DecompressStreamSalvage(bytes.NewReader(mut), &out, nil)
+	rep, err := DecompressStreamSalvage(bytes.NewReader(mut), &out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +174,7 @@ func TestStreamParitySalvageDamagedParity(t *testing.T) {
 	mut2 := append([]byte(nil), stream...)
 	mut2[parity[1].End-1] ^= 0xA5
 	var out2 bytes.Buffer
-	rep2, err := DecompressStreamSalvage(bytes.NewReader(mut2), &out2, nil)
+	rep2, err := DecompressStreamSalvage(bytes.NewReader(mut2), &out2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,6 +184,32 @@ func TestStreamParitySalvageDamagedParity(t *testing.T) {
 	if len(rep2.DamagedParity) != 1 || rep2.DamagedParity[0] != 1 {
 		t.Fatalf("DamagedParity = %v, want [1]", rep2.DamagedParity)
 	}
+}
+
+// TestStreamParitySalvageTruncatedGroup cuts a parity container inside
+// the last chunk of group 0. The forward scan delimits that chunk past
+// the end of the container and loses everything after it, so group 0's
+// parity frame, cut away with the rest, is reported damaged like those
+// of the later groups: DamagedParity names every group whose parity
+// frame the scan could not verify.
+func TestStreamParitySalvageTruncatedGroup(t *testing.T) {
+	defer testutil.NoLeak(t)()
+	stream, clean, frames, _, _ := parityFixture(t)
+	var out bytes.Buffer
+	rep, err := DecompressStreamSalvage(bytes.NewReader(stream[:frames[1].End-1]), &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.IndexOK || !rep.Truncated {
+		t.Fatalf("IndexOK=%v Truncated=%v, want a truncated container without its index", rep.IndexOK, rep.Truncated)
+	}
+	if want := []int{1, 2, 3, 4}; !slices.Equal(rep.LostChunks, want) {
+		t.Fatalf("LostChunks = %v, want %v", rep.LostChunks, want)
+	}
+	if want := []int{0, 1, 2}; !slices.Equal(rep.DamagedParity, want) {
+		t.Fatalf("DamagedParity = %v, want %v", rep.DamagedParity, want)
+	}
+	checkRegions(t, rep, out.Bytes(), clean, 4)
 }
 
 // TestStreamParityReadRowsRepair damages each chunk and reads the full

@@ -343,11 +343,11 @@ func Decompress(buf []byte) (_ []float64, _ []int, err error) {
 	}
 	inner := buf[6:]
 	if crc32.ChecksumIEEE(inner) != binary.BigEndian.Uint32(buf[2:6]) {
-		return nil, nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
+		return nil, nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupted)
 	}
 	c := codecFor(algo)
 	if c == nil {
-		return nil, nil, fmt.Errorf("%w: algorithm byte %d", ErrCorrupt, buf[1])
+		return nil, nil, fmt.Errorf("%w: algorithm byte %d", ErrCorrupted, buf[1])
 	}
 	data, dims, err := c.decompress(inner)
 	if err != nil {
@@ -355,7 +355,7 @@ func Decompress(buf []byte) (_ []float64, _ []int, err error) {
 		// a payload the named codec rejects means the container itself is
 		// damaged (most often a flipped algorithm byte dispatching to the
 		// wrong decoder).
-		return nil, nil, fmt.Errorf("%w: %v payload: %w", ErrCorrupt, algo, err)
+		return nil, nil, fmt.Errorf("%w: %v payload: %w", ErrCorrupted, algo, err)
 	}
 	return data, dims, nil
 }

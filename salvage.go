@@ -1,7 +1,6 @@
 package repro
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
@@ -73,121 +72,119 @@ func (r *SalvageReport) Repaired() int { return len(r.RepairedChunks) }
 
 // DecompressStreamSalvage reads a (possibly damaged) stream container
 // from r and writes the field to w as raw little-endian float64 bytes,
-// in full: every row of the header's geometry is emitted, with rows from
-// unrecoverable chunks filled with NaN. The report says exactly what was
-// lost. The whole container is buffered in memory (resynchronization
-// needs the tail index), so limits.MaxElements should be set when r is
-// untrusted.
+// in full: every row of the header's
+// geometry is emitted, with rows from unrecoverable chunks filled with
+// NaN. The report says exactly what was lost. The whole container is
+// buffered in memory (resynchronization needs the tail index), and the
+// chunks decode through the same worker pool as DecompressStreamOpts:
+// WithLimits is enforced against the header and every frame,
+// WithWorkers and WithMemoryBudget size the pool, and WithContext
+// cancellation, like an error from w, stops it and returns with no
+// goroutines left behind.
 //
 // An error is returned only when salvage is impossible (unreadable
-// source, unusable header, or a limit violation) or when w fails; damage
-// to chunk frames is never an error, it is the condition this function
-// exists to survive.
-func DecompressStreamSalvage(r io.Reader, w io.Writer, limits *DecodeLimits) (_ *SalvageReport, err error) {
+// source, unusable header, or a limit violation), when w fails or when
+// the context is cancelled; damage to chunk frames is never an error,
+// it is the condition this function exists to survive.
+func DecompressStreamSalvage(r io.Reader, w io.Writer, opts ...StreamOption) (_ *SalvageReport, err error) {
 	defer recoverDecode(&err)
+	cfg := resolveStreamConfig(opts)
 	buf, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("repro: reading container: %w", err)
 	}
-	scan, err := streamfmt.ScanSalvage(buf, limits.streamLimits())
+	scan, err := streamfmt.ScanSalvage(buf, cfg.Limits.streamLimits())
 	if err != nil {
 		return nil, err
 	}
-	hdr := scan.Header
-	rowStride := hdr.RowStride()
+	hdr := &scan.Header
+	chunks, k, rowStride := hdr.Chunks(), hdr.ParityK, hdr.RowStride()
+	chunkElems := hdr.ChunkRows * rowStride
 	rep := &SalvageReport{
 		Dims:      append([]int(nil), hdr.Dims...),
-		Chunks:    len(scan.Frames),
-		ParityK:   hdr.ParityK,
+		Chunks:    chunks,
+		ParityK:   k,
 		IndexOK:   scan.IndexOK,
 		Truncated: scan.Truncated,
 		BytesIn:   int64(len(buf)),
 	}
-	for g := range scan.Parity {
-		if scan.Parity[g].Damaged {
-			rep.DamagedParity = append(rep.DamagedParity, g)
-		}
-	}
 
-	var out []byte
-	emit := func(vals []float64) error {
-		need := len(vals) * 8
-		if cap(out) < need {
-			// grows once to the largest chunk, then reused across all chunks
-			out = make([]byte, need)
+	// Fetch hands out the scanned frames in field order, then the
+	// chunks past the scan's last frame, which have no payload.
+	seq := 0
+	fetch := func(jb *chunkJob) error {
+		if seq == chunks {
+			return io.EOF
 		}
-		out = out[:need]
-		for i, v := range vals {
-			binary.LittleEndian.PutUint64(out[i*8:], math.Float64bits(v))
+		jb.seq, jb.rows, jb.payload = seq, hdr.ChunkRowCount(seq), nil
+		if seq < len(scan.Frames) {
+			jb.payload = scan.Frames[seq].Payload
 		}
-		if _, err := w.Write(out); err != nil {
-			return err
-		}
-		rep.BytesOut += int64(need)
+		seq++
 		return nil
 	}
-
-	var nanRow []float64
-	row := 0
-	lastEnd := scan.HeaderLen
-	for i := range scan.Frames {
-		f := &scan.Frames[i]
-		rows := hdr.ChunkRowCount(i)
-		var dec []float64
-		if f.Payload != nil {
-			d, derr := decodeChunk(f.Payload, rows, hdr.Dims)
-			if derr != nil {
-				f.Damaged, f.Reason = true, derr.Error()
-			}
-			dec = d
+	work := func(jb *chunkJob) error {
+		jb.vals = nil
+		if jb.payload != nil {
+			// A chunk that does not decode to its header shape is lost
+			// like a damaged frame.
+			jb.vals, _ = decodeChunk(jb.payload, jb.rows, hdr.Dims)
 		}
-		if dec != nil {
+		return nil
+	}
+	out := rawWriter{w: w, elemSize: 8}
+	var nan []float64
+	fillNaN := func(n int) error {
+		if nan == nil {
+			// The fill buffer is capped: a hostile header can claim an
+			// astronomical row stride, and salvage (the permissive
+			// reader) must stream the NaN fill rather than allocate it.
+			nan = make([]float64, min(chunkElems, 1<<16))
+			for j := range nan {
+				nan[j] = math.NaN()
+			}
+		}
+		for ; n > 0; n -= len(nan) {
+			if err := out.write(nan[:min(n, len(nan))]); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	lastEnd := scan.HeaderLen
+	emit := func(jb *chunkJob) (err error) {
+		var f streamfmt.FrameInfo // zero past the scan's frames: extent unknown
+		if jb.seq < len(scan.Frames) {
+			f = scan.Frames[jb.seq]
+		}
+		if k > 0 && (jb.seq%k == k-1 || jb.seq == chunks-1) {
+			if g := jb.seq / k; g >= len(scan.Parity) || scan.Parity[g].Damaged {
+				rep.DamagedParity = append(rep.DamagedParity, g)
+			}
+		}
+		if jb.vals != nil {
 			rep.Recovered++
 			if f.Repaired {
-				rep.RepairedChunks = append(rep.RepairedChunks, i)
+				rep.RepairedChunks = append(rep.RepairedChunks, jb.seq)
 			}
-			if err := emit(dec); err != nil {
-				return rep, err
-			}
+			err = out.write(jb.vals)
+			jb.vals = nil
 		} else {
-			rep.LostChunks = append(rep.LostChunks, i)
-			rep.addLostRows(row, row+rows)
-			rep.addLostBytes(f.Offset, f.End, lastEnd, int64(len(buf)))
-			if nanRow == nil {
-				// The fill buffer is capped: a hostile header can claim an
-				// astronomical row stride, and salvage (the permissive
-				// reader) must stream the NaN fill rather than allocate a
-				// whole row of it up front.
-				const maxFillElems = 1 << 16
-				n := rowStride
-				if n > maxFillElems {
-					n = maxFillElems
-				}
-				//lint:allow allochot nil-guarded: one bounded NaN buffer allocated for the whole scan
-				nanRow = make([]float64, n)
-				for j := range nanRow {
-					nanRow[j] = math.NaN()
-				}
-			}
-			for j := 0; j < rows; j++ {
-				for left := rowStride; left > 0; {
-					n := left
-					if n > len(nanRow) {
-						n = len(nanRow)
-					}
-					if err := emit(nanRow[:n]); err != nil {
-						return rep, err
-					}
-					left -= n
-				}
-			}
+			rep.LostChunks = append(rep.LostChunks, jb.seq)
+			lo := jb.seq * hdr.ChunkRows
+			rep.addLostRows(lo, lo+jb.rows)
+			rep.addLostBytes(f.Offset, f.End, lastEnd, rep.BytesIn)
+			err = fillNaN(jb.rows * rowStride)
 		}
 		if f.End > 0 {
 			lastEnd = f.End
 		}
-		row += rows
+		return err
 	}
-	return rep, nil
+	workers := cfg.decodeWorkers(chunkElems, out.elemSize, chunks)
+	err = runChunks(cfg.Ctx, workers, &StreamStats{}, fetch, work, emit)
+	rep.BytesOut = out.n
+	return rep, err
 }
 
 // addLostRows appends [lo,hi), merging with an adjacent previous range.

@@ -41,7 +41,7 @@ func salvageFixture(t *testing.T) (stream, clean []byte, frames []streamfmt.Fram
 func salvage(t *testing.T, buf []byte) (*SalvageReport, []byte) {
 	t.Helper()
 	var out bytes.Buffer
-	rep, err := DecompressStreamSalvage(bytes.NewReader(buf), &out, nil)
+	rep, err := DecompressStreamSalvage(bytes.NewReader(buf), &out)
 	if err != nil {
 		t.Fatalf("salvage errored on frame damage: %v", err)
 	}

@@ -330,40 +330,54 @@ func decompressStream(cfg *StreamConfig, r io.Reader, w io.Writer) (_ *StreamSta
 	if err != nil {
 		return nil, err
 	}
-	elemSize := 8
+	out := rawWriter{w: w, elemSize: 8}
 	if cfg.Float32 {
-		elemSize = 4
+		out.elemSize = 4
 	}
-	var out []byte
-	var bytesOut int64
 	emit := func(jb *chunkJob) error {
-		need := len(jb.vals) * elemSize
-		if cap(out) < need {
-			// grows once to the largest chunk, then reused across all chunks
-			out = make([]byte, need)
-		}
-		out = out[:need]
-		if elemSize == 8 {
-			for i, v := range jb.vals {
-				binary.LittleEndian.PutUint64(out[i*8:], math.Float64bits(v))
-			}
-		} else {
-			for i, v := range jb.vals {
-				binary.LittleEndian.PutUint32(out[i*4:], math.Float32bits(float32(v)))
-			}
-		}
+		err := out.write(jb.vals)
 		jb.vals = nil // written out: a recycled job holds no decoded chunk
-		if _, err := w.Write(out); err != nil {
-			return err
-		}
-		bytesOut += int64(need)
-		return nil
+		return err
 	}
-	stats, err := decodeStream(cfg, sr, elemSize, emit)
+	stats, err := decodeStream(cfg, sr, out.elemSize, emit)
 	if stats != nil {
-		stats.BytesOut = bytesOut
+		stats.BytesOut = out.n
 	}
 	return stats, err
+}
+
+// rawWriter is the output step of the decoders that write to an
+// io.Writer: raw little-endian float64 values, or float32 when
+// elemSize is 4, through one byte buffer that grows to the largest
+// write and is then reused.
+type rawWriter struct {
+	w        io.Writer
+	elemSize int
+	buf      []byte
+	n        int64 // bytes written
+}
+
+func (rw *rawWriter) write(vals []float64) error {
+	need := len(vals) * rw.elemSize
+	if cap(rw.buf) < need {
+		// grows once to the largest chunk, then reused across all chunks
+		rw.buf = make([]byte, need)
+	}
+	out := rw.buf[:need]
+	if rw.elemSize == 8 {
+		for i, v := range vals {
+			binary.LittleEndian.PutUint64(out[i*8:], math.Float64bits(v))
+		}
+	} else {
+		for i, v := range vals {
+			binary.LittleEndian.PutUint32(out[i*4:], math.Float32bits(float32(v)))
+		}
+	}
+	if _, err := rw.w.Write(out); err != nil {
+		return err
+	}
+	rw.n += int64(need)
+	return nil
 }
 
 // decodeStream runs the chunks of the 0xC8 container behind sr through
@@ -380,7 +394,7 @@ func decodeStream(cfg *StreamConfig, sr *streamfmt.Reader, elemSize int, emit fu
 		if seq == chunks {
 			_, err := sr.Next(nil)
 			if err == nil {
-				err = fmt.Errorf("%w: extra frame after final chunk", ErrCorrupt)
+				err = fmt.Errorf("%w: extra frame after final chunk", ErrCorrupted)
 			}
 			return err // io.EOF once the index verifies
 		}
