@@ -11,6 +11,7 @@ import (
 	"encoding/binary"
 	"io"
 	"math"
+	"runtime"
 	"testing"
 
 	"repro"
@@ -18,6 +19,7 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/experiments"
 	"repro/internal/huffman"
+	"repro/internal/testutil"
 )
 
 func benchConfig() experiments.Config {
@@ -298,6 +300,72 @@ func BenchmarkDecompressSZPWR(b *testing.B)   { benchDecompress(b, repro.SZPWR) 
 func BenchmarkDecompressFPZIP(b *testing.B)   { benchDecompress(b, repro.FPZIP) }
 func BenchmarkDecompressISABELA(b *testing.B) { benchDecompress(b, repro.ISABELA) }
 
+// --- Per-chunk fixed cost ---------------------------------------------------
+//
+// A stream container codes each chunk as its own Compress stream, so the
+// codec's fixed cost per call is paid once per chunk. chunkRow is the
+// fine-chunk perfbench workload's chunk: one 600-element CESM-ATM row.
+
+func chunkRow() ([]float64, []int) {
+	f := datagen.CESMATM(300, 600, 1)[0]
+	return f.Data[150*600 : 151*600], []int{1, 600}
+}
+
+func chunkRoundTrip(data []float64, dims []int, algo repro.Algorithm) error {
+	buf, err := repro.Compress(data, dims, 1e-2, algo, nil)
+	if err != nil {
+		return err
+	}
+	_, _, err = repro.Decompress(buf)
+	return err
+}
+
+// BenchmarkChunkRoundTrip measures one Compress + Decompress of a chunk
+// row: run it with -benchmem -cpu 1 to see the per-chunk fixed cost.
+func BenchmarkChunkRoundTrip(b *testing.B) {
+	data, dims := chunkRow()
+	for _, algo := range []repro.Algorithm{repro.SZT, repro.ZFPT} {
+		b.Run(algo.String(), func(b *testing.B) {
+			b.SetBytes(int64(len(data) * 8))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := chunkRoundTrip(data, dims, algo); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// TestChunkRoundTripAllocs guards the per-chunk fixed cost: once the
+// codec's pooled deflate state is warm, an SZ_T round trip of a chunk row
+// must allocate under 64 KiB per call, averaged over 500 calls. Huffman
+// tables sized to the 65,537-symbol alphabet, or a fresh ~1.2 MB
+// flate.Writer per call, would each break it.
+func TestChunkRoundTripAllocs(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("the race detector's own allocations swamp the ceiling")
+	}
+	data, dims := chunkRow()
+	if err := chunkRoundTrip(data, dims, repro.SZT); err != nil { // warm-up
+		t.Fatal(err)
+	}
+	const calls = 500
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		if err := chunkRoundTrip(data, dims, repro.SZT); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / calls
+	if per >= 64<<10 {
+		t.Fatalf("SZ_T chunk round trip allocates %d bytes per call, want under 64 KiB", per)
+	}
+	t.Logf("SZ_T chunk round trip: %d bytes per call", per)
+}
+
 // --- Streaming pipeline benchmarks -------------------------------------
 //
 // BenchmarkCompressParallel vs BenchmarkCompressStream on the same field
@@ -431,9 +499,9 @@ func BenchmarkReadRows(b *testing.B) {
 // and inner loops should allocate a small constant number of times, not
 // O(iterations).
 
-// BenchmarkHuffmanBuild measures codebook construction (the setup cost of
-// every SZ_T and ISABELA encode); the build heap is preallocated to the
-// alphabet size.
+// BenchmarkHuffmanBuild measures codebook construction from a frequency
+// table (the setup cost of every ISABELA encode); the code book's arrays are
+// sized to the symbols present.
 func BenchmarkHuffmanBuild(b *testing.B) {
 	freqs := make([]uint64, 66)
 	for i := range freqs {

@@ -22,15 +22,13 @@
 package core
 
 import (
-	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 
 	"repro/internal/bitio"
+	"repro/internal/deflate"
 	"repro/internal/floatbits"
 	"repro/internal/grid"
 )
@@ -338,14 +336,9 @@ func (tr *Transformed) AppendHeader(dst []byte) []byte {
 		flags |= flagAllPositive
 	} else {
 		// Compress the sign bitmap losslessly (Algorithm 1 line 16).
-		var zbuf bytes.Buffer
-		zw, err := flate.NewWriter(&zbuf, flate.BestSpeed)
-		if err == nil {
-			if _, werr := zw.Write(tr.signs); werr == nil && zw.Close() == nil &&
-				zbuf.Len() < len(tr.signs) {
-				signBlob = zbuf.Bytes()
-				flags |= flagSignsFlate
-			}
+		if z, err := deflate.Compress(tr.signs); err == nil && len(z) < len(tr.signs) {
+			signBlob = z
+			flags |= flagSignsFlate
 		}
 		if signBlob == nil {
 			signBlob = tr.signs
@@ -414,9 +407,7 @@ func ParseHeader(buf []byte) (*SideInfo, int, error) {
 		off += int(blobLen)
 		want := (si.N + 7) / 8
 		if flags&flagSignsFlate != 0 {
-			zr := flate.NewReader(bytes.NewReader(blob))
-			dec, err := io.ReadAll(io.LimitReader(zr, int64(want)+16))
-			_ = zr.Close() // nothing to report: dec is length-validated below
+			dec, err := deflate.Decompress(blob, int64(want)+16)
 			if err != nil || len(dec) != want {
 				return nil, 0, ErrCorrupt
 			}

@@ -72,19 +72,20 @@ type Block struct {
 
 // Blocks enumerates all blocks of edge length `side` covering dims, in
 // row-major block order, calling fn for each. Boundary blocks are clipped.
+// One Block is reused for the whole traversal, so fn must not keep b or its
+// slices past its return.
 func Blocks(dims []int, side int, fn func(b Block) error) error {
 	if side <= 0 {
 		return fmt.Errorf("grid: nonpositive block side %d", side)
 	}
 	rank := len(dims)
-	counts := make([]int, rank)
+	scratch := make([]int, 4*rank)
+	counts, idx := scratch[:rank], scratch[rank:2*rank]
 	for i, d := range dims {
 		counts[i] = (d + side - 1) / side
 	}
-	idx := make([]int, rank)
+	b := Block{Origin: scratch[2*rank : 3*rank], Extent: scratch[3*rank:]}
 	for {
-		//lint:allow allochot each Block is handed to fn, which may retain it; fresh slices are the contract
-		b := Block{Origin: make([]int, rank), Extent: make([]int, rank)}
 		for i := 0; i < rank; i++ {
 			b.Origin[i] = idx[i] * side
 			ext := side
@@ -115,7 +116,11 @@ func Blocks(dims []int, side int, fn func(b Block) error) error {
 // calling fn with the linear index. Iteration is row-major within the block.
 func (b Block) ForEach(strides []int, fn func(linear int)) {
 	rank := len(b.Origin)
-	idx := make([]int, rank)
+	var buf [MaxDims]int
+	idx := buf[:]
+	if rank > MaxDims {
+		idx = make([]int, rank)
+	}
 	base := 0
 	for i := 0; i < rank; i++ {
 		base += b.Origin[i] * strides[i]

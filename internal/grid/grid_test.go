@@ -68,7 +68,11 @@ func TestBlocksCoverExactly(t *testing.T) {
 func TestBlocksClipping(t *testing.T) {
 	var blocks []Block
 	if err := Blocks([]int{5}, 4, func(b Block) error {
-		blocks = append(blocks, b)
+		// Blocks reuses b, so keep a copy.
+		blocks = append(blocks, Block{
+			Origin: append([]int(nil), b.Origin...),
+			Extent: append([]int(nil), b.Extent...),
+		})
 		return nil
 	}); err != nil {
 		t.Fatal(err)

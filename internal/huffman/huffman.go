@@ -1,18 +1,22 @@
 // Package huffman implements a canonical Huffman coder over integer symbol
 // alphabets. It is the entropy stage of the SZ re-implementation (encoding
 // linear-scaling quantization codes, alphabets up to 2^16+1 symbols) and of
-// the FPZIP residual coder (bit-length alphabets).
+// ISABELA's correction stream (bit-length alphabets).
 //
 // Codes are canonical: only the code lengths are serialized, and both sides
 // rebuild identical code books, which keeps headers small and decoding
-// table-driven.
+// table-driven. A code book keeps one entry per symbol present, not per
+// symbol of the declared alphabet, so a decoder's memory is bounded by the
+// serialized table's own bytes. EncodeAll counts frequencies over the span
+// from the lowest to the highest nonzero symbol it is given, which for SZ's
+// codes around the midpoint of a 65,537-symbol alphabet is a small fraction
+// of it.
 package huffman
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/bitio"
 )
@@ -21,19 +25,28 @@ import (
 // bound by the package-depth limiting pass, so a length always fits in 6 bits.
 const MaxCodeLen = 58
 
+// maxAlphabet bounds the alphabet on both sides, so a symbol always fits in
+// the 26 bits a LUT entry leaves it.
+const maxAlphabet = 1 << 24
+
 var (
 	// ErrInvalidTable indicates a corrupted serialized code table.
 	ErrInvalidTable = errors.New("huffman: invalid code table")
 	// ErrBadSymbol indicates an attempt to encode a symbol that had zero
 	// frequency when the code book was built.
 	ErrBadSymbol = errors.New("huffman: symbol absent from code book")
+
+	errEmpty = errors.New("huffman: empty frequency table")
 )
 
 // Codec holds a canonical Huffman code book for symbols in [0, alphabet).
+// It keeps one entry per present symbol, and decoding adds a lookup table of
+// at most 2^lutMaxBits entries.
 type Codec struct {
 	alphabet int
-	lengths  []uint8  // code length per symbol; 0 = absent
-	codes    []uint64 // canonical code per symbol (valid when lengths>0)
+	syms     []uint32 // present symbols, ascending
+	lengths  []uint8  // code length per present symbol (parallel to syms)
+	codes    []uint64 // canonical code per present symbol (parallel to syms)
 
 	// Decoding acceleration: first code value and first index per length.
 	firstCode  [MaxCodeLen + 2]uint64
@@ -41,7 +54,6 @@ type Codec struct {
 	symByOrder []uint32 // symbols sorted by (length, symbol)
 	maxLen     uint8
 	minLen     uint8
-	count      int // number of present symbols
 
 	// lut accelerates decoding of codes up to lutBits long: indexed by the
 	// next lutBits of the stream, each entry holds symbol<<6 | length
@@ -54,79 +66,148 @@ type Codec struct {
 // covers the code lengths that dominate SZ quantization-code streams.
 const lutMaxBits = 12
 
-type hnode struct {
-	freq   uint64
-	symbol int // -1 for internal
-	left   *hnode
-	right  *hnode
-	seq    int // tie-break for determinism
-}
-
-type hheap []*hnode
-
-func (h hheap) Len() int { return len(h) }
-func (h hheap) Less(i, j int) bool {
-	if h[i].freq != h[j].freq {
-		return h[i].freq < h[j].freq
-	}
-	return h[i].seq < h[j].seq
-}
-func (h hheap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *hheap) Push(x interface{}) { *h = append(*h, x.(*hnode)) }
-func (h *hheap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}
-
 // Build constructs a canonical code book from the frequency table freqs,
 // indexed by symbol. Symbols with zero frequency receive no code.
 func Build(freqs []uint64) (*Codec, error) {
-	c := &Codec{
-		alphabet: len(freqs),
-		lengths:  make([]uint8, len(freqs)),
-		codes:    make([]uint64, len(freqs)),
+	if len(freqs) > maxAlphabet {
+		return nil, fmt.Errorf("huffman: alphabet %d exceeds %d", len(freqs), maxAlphabet)
 	}
-	h := make(hheap, 0, len(freqs))
-	seq := 0
-	for sym, f := range freqs {
-		if f > 0 {
-			h = append(h, &hnode{freq: f, symbol: sym, seq: seq})
-			seq++
-			c.count++
-		}
+	c, err := fromCounts(len(freqs), 0, freqs, 0)
+	if err != nil {
+		return nil, err
 	}
-	if c.count == 0 {
-		return nil, errors.New("huffman: empty frequency table")
-	}
-	if c.count == 1 {
-		// Single symbol: give it a 1-bit code so the stream is decodable.
-		c.lengths[h[0].symbol] = 1
-	} else {
-		heap.Init(&h)
-		for h.Len() > 1 {
-			a := heap.Pop(&h).(*hnode)
-			b := heap.Pop(&h).(*hnode)
-			heap.Push(&h, &hnode{freq: a.freq + b.freq, symbol: -1, left: a, right: b, seq: seq})
-			seq++
-		}
-		root := h[0]
-		assignDepths(root, 0, c.lengths)
-		limitDepths(c.lengths, MaxCodeLen)
-	}
-	c.finish()
+	c.buildLUT()
 	return c, nil
 }
 
-func assignDepths(n *hnode, depth uint8, lengths []uint8) {
-	if n.symbol >= 0 {
-		lengths[n.symbol] = depth
-		return
+// fromCounts builds the code book in which symbol 0 occurs zeros times and
+// symbol lo+i occurs counts[i] times. lo+len(counts) must not exceed
+// alphabet, and lo must be at least 1 when zeros > 0.
+func fromCounts(alphabet int, zeros uint64, counts []uint64, lo int) (*Codec, error) {
+	k := 0
+	if zeros > 0 {
+		k++
 	}
-	assignDepths(n.left, depth+1, lengths)
-	assignDepths(n.right, depth+1, lengths)
+	for _, f := range counts {
+		if f > 0 {
+			k++
+		}
+	}
+	if k == 0 {
+		return nil, errEmpty
+	}
+	c := &Codec{alphabet: alphabet, syms: make([]uint32, 0, k)}
+	freqs := make([]uint64, 0, k)
+	if zeros > 0 {
+		c.syms = append(c.syms, 0)
+		freqs = append(freqs, zeros)
+	}
+	for i, f := range counts {
+		if f > 0 {
+			//lint:allow intnarrow lo+i < alphabet <= maxAlphabet (callers' bound)
+			c.syms = append(c.syms, uint32(lo+i))
+			freqs = append(freqs, f)
+		}
+	}
+	c.lengths = codeLengths(freqs)
+	c.canonical()
+	return c, nil
+}
+
+// codeLengths returns the Huffman code length of each symbol whose
+// frequency is freqs[i] > 0, with the symbols in ascending order. Leaves are
+// nodes 0..k-1 and merged nodes are numbered on from k as they are made, so
+// a node's number is its tie-break: among equal frequencies the lower number
+// pops first. The lengths are then limited to MaxCodeLen.
+func codeLengths(freqs []uint64) []uint8 {
+	k := len(freqs)
+	lengths := make([]uint8, k)
+	if k == 1 {
+		// Single symbol: give it a 1-bit code so the stream is decodable.
+		lengths[0] = 1
+		return lengths
+	}
+	q := nodeHeap{freq: make([]uint64, 2*k-1), h: make([]int, k, 2*k-1)}
+	copy(q.freq, freqs)
+	for i := range q.h {
+		q.h[i] = i
+	}
+	for i := k/2 - 1; i >= 0; i-- {
+		q.down(i)
+	}
+	// up[n] is node n's parent until the depth pass below turns it into
+	// node n's depth.
+	up := make([]int, 2*k-1)
+	for next := k; next < 2*k-1; next++ {
+		a, b := q.pop(), q.pop()
+		q.freq[next] = q.freq[a] + q.freq[b]
+		up[a], up[b] = next, next
+		q.push(next)
+	}
+	// A parent is numbered after its children, so walking down from the
+	// root (node 2k-2, depth 0) finds each parent's depth already set.
+	up[2*k-2] = 0
+	for n := 2*k - 3; n >= 0; n-- {
+		up[n] = up[up[n]] + 1
+	}
+	for i := range lengths {
+		// Anything past MaxCodeLen is clipped to it by limitDepths.
+		d := min(up[i], MaxCodeLen+1)
+		//lint:allow intnarrow d <= MaxCodeLen+1 = 59 after the min above
+		lengths[i] = uint8(d)
+	}
+	limitDepths(lengths, MaxCodeLen)
+	return lengths
+}
+
+// nodeHeap is a binary min-heap of node numbers ordered by (frequency,
+// number).
+type nodeHeap struct {
+	freq []uint64
+	h    []int
+}
+
+func (q *nodeHeap) less(a, b int) bool {
+	fa, fb := q.freq[q.h[a]], q.freq[q.h[b]]
+	return fa < fb || fa == fb && q.h[a] < q.h[b]
+}
+
+func (q *nodeHeap) push(n int) {
+	q.h = append(q.h, n)
+	for i := len(q.h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !q.less(i, p) {
+			return
+		}
+		q.h[i], q.h[p] = q.h[p], q.h[i]
+		i = p
+	}
+}
+
+func (q *nodeHeap) pop() int {
+	top := q.h[0]
+	last := len(q.h) - 1
+	q.h[0] = q.h[last]
+	q.h = q.h[:last]
+	q.down(0)
+	return top
+}
+
+func (q *nodeHeap) down(i int) {
+	for {
+		m := i
+		if l := 2*i + 1; l < len(q.h) && q.less(l, m) {
+			m = l
+		}
+		if r := 2*i + 2; r < len(q.h) && q.less(r, m) {
+			m = r
+		}
+		if m == i {
+			return
+		}
+		q.h[i], q.h[m] = q.h[m], q.h[i]
+		i = m
+	}
 }
 
 // limitDepths enforces a maximum code length using the standard
@@ -178,79 +259,73 @@ func limitDepths(lengths []uint8, maxLen uint8) {
 	}
 }
 
-// finish derives canonical codes and decode tables from c.lengths.
-func (c *Codec) finish() {
-	type ls struct {
-		sym int
-		l   uint8
+// canonical derives the canonical codes and the per-length decode tables
+// from c.syms and c.lengths: codes run in (length, symbol) order, so a
+// counting pass over the lengths places every symbol without a sort.
+func (c *Codec) canonical() {
+	var perLen [MaxCodeLen + 1]int
+	c.minLen, c.maxLen = MaxCodeLen, 0
+	for _, l := range c.lengths {
+		perLen[l]++
+		c.minLen = min(c.minLen, l)
+		c.maxLen = max(c.maxLen, l)
 	}
-	present := make([]ls, 0, c.count)
-	c.count = 0
-	for sym, l := range c.lengths {
-		if l > 0 {
-			present = append(present, ls{sym, l})
-			c.count++
+	for l := uint8(1); l <= c.maxLen; l++ {
+		c.firstIndex[l] = c.firstIndex[l-1] + perLen[l-1]
+		if l > c.minLen {
+			c.firstCode[l] = (c.firstCode[l-1] + uint64(perLen[l-1])) << 1
 		}
 	}
-	sort.Slice(present, func(i, j int) bool {
-		if present[i].l != present[j].l {
-			return present[i].l < present[j].l
-		}
-		return present[i].sym < present[j].sym
-	})
-	c.symByOrder = make([]uint32, len(present))
-	if len(present) == 0 {
-		return
+	next := c.firstIndex
+	c.codes = make([]uint64, len(c.syms))
+	c.symByOrder = make([]uint32, len(c.syms))
+	for i, sym := range c.syms {
+		l := c.lengths[i]
+		j := next[l]
+		next[l]++
+		c.symByOrder[j] = sym
+		c.codes[i] = c.firstCode[l] + uint64(j-c.firstIndex[l])
 	}
-	c.minLen = present[0].l
-	c.maxLen = present[len(present)-1].l
-	code := uint64(0)
-	prevLen := present[0].l
-	for l := uint8(0); l <= prevLen; l++ {
-		c.firstIndex[l] = 0
-	}
-	c.firstCode[prevLen] = 0
-	for i, p := range present {
-		if p.l != prevLen {
-			for l := prevLen + 1; l <= p.l; l++ {
-				code <<= 1
-				c.firstCode[l] = code
-				c.firstIndex[l] = i
-			}
-			prevLen = p.l
-		}
-		c.codes[p.sym] = code
-		//lint:allow intnarrow sym < alphabet <= 1<<24 (ParseTable/Build bound)
-		c.symByOrder[i] = uint32(p.sym)
-		code++
-	}
+}
 
-	// Fast-path table for short codes.
-	c.lutBits = uint(c.maxLen)
-	if c.lutBits > lutMaxBits {
-		c.lutBits = lutMaxBits
-	}
+// buildLUT fills the fast-path table for codes up to lutBits long.
+func (c *Codec) buildLUT() {
+	c.lutBits = min(uint(c.maxLen), lutMaxBits)
 	c.lut = make([]uint32, 1<<c.lutBits)
-	for _, p := range present {
-		if uint(p.l) > c.lutBits {
-			break // present is sorted by length
+	for i, sym := range c.syms {
+		l := uint(c.lengths[i])
+		if l > c.lutBits {
+			continue
 		}
-		//lint:allow intnarrow sym < alphabet <= 1<<24 (ParseTable/Build bound)
-		entry := uint32(p.sym)<<6 | (uint32(p.l) + 1)
-		base := c.codes[p.sym] << (c.lutBits - uint(p.l))
-		span := uint64(1) << (c.lutBits - uint(p.l))
+		//lint:allow intnarrow l <= lutBits <= 12 fits the low 6 bits
+		entry := sym<<6 | (uint32(l) + 1)
+		base := c.codes[i] << (c.lutBits - l)
+		span := uint64(1) << (c.lutBits - l)
 		for off := uint64(0); off < span; off++ {
 			c.lut[base+off] = entry
 		}
 	}
 }
 
+// index returns the position of symbol in c.syms, or -1 if it has no code.
+func (c *Codec) index(symbol int) int {
+	if symbol < 0 || symbol >= c.alphabet {
+		return -1
+	}
+	//lint:allow intnarrow 0 <= symbol < alphabet <= maxAlphabet, checked above
+	if i, ok := slices.BinarySearch(c.syms, uint32(symbol)); ok {
+		return i
+	}
+	return -1
+}
+
 // Encode appends the code for symbol to w.
 func (c *Codec) Encode(w *bitio.Writer, symbol int) error {
-	if symbol < 0 || symbol >= c.alphabet || c.lengths[symbol] == 0 {
+	i := c.index(symbol)
+	if i < 0 {
 		return fmt.Errorf("%w: %d", ErrBadSymbol, symbol)
 	}
-	w.WriteBits(c.codes[symbol], uint(c.lengths[symbol]))
+	w.WriteBits(c.codes[i], uint(c.lengths[i]))
 	return nil
 }
 
@@ -305,10 +380,10 @@ func (c *Codec) Decode(r *bitio.Reader) (int, error) {
 
 // Length returns the code length for symbol (0 if absent).
 func (c *Codec) Length(symbol int) int {
-	if symbol < 0 || symbol >= c.alphabet {
-		return 0
+	if i := c.index(symbol); i >= 0 {
+		return int(c.lengths[i])
 	}
-	return int(c.lengths[symbol])
+	return 0
 }
 
 // Alphabet returns the alphabet size the codec was built for.
@@ -316,28 +391,26 @@ func (c *Codec) Alphabet() int { return c.alphabet }
 
 // AppendTable serializes the code book to dst. The format is:
 // uvarint(alphabet), uvarint(#present), then for each present symbol in
-// increasing order uvarint(delta from previous symbol + 1) and 6 bits of
-// length packed two-per-... (kept simple: one byte per length).
+// increasing order uvarint(delta from previous symbol + 1) and one byte of
+// code length.
 func (c *Codec) AppendTable(dst []byte) []byte {
 	dst = bitio.AppendUvarint(dst, uint64(c.alphabet))
-	dst = bitio.AppendUvarint(dst, uint64(c.count))
+	dst = bitio.AppendUvarint(dst, uint64(len(c.syms)))
 	prev := -1
-	for sym, l := range c.lengths {
-		if l == 0 {
-			continue
-		}
-		dst = bitio.AppendUvarint(dst, uint64(sym-prev))
-		dst = append(dst, byte(l))
-		prev = sym
+	for i, sym := range c.syms {
+		dst = bitio.AppendUvarint(dst, uint64(int(sym)-prev))
+		dst = append(dst, c.lengths[i])
+		prev = int(sym)
 	}
 	return dst
 }
 
 // ParseTable reconstructs a Codec from data produced by AppendTable,
-// returning the codec and the number of bytes consumed.
+// returning the codec and the number of bytes consumed. The codec's memory
+// is bounded by the table's bytes, whatever alphabet it declares.
 func ParseTable(data []byte) (*Codec, int, error) {
 	alpha, n := bitio.Uvarint(data)
-	if n == 0 || alpha == 0 || alpha > 1<<24 {
+	if n == 0 || alpha == 0 || alpha > maxAlphabet {
 		return nil, 0, ErrInvalidTable
 	}
 	off := n
@@ -346,14 +419,22 @@ func ParseTable(data []byte) (*Codec, int, error) {
 		return nil, 0, ErrInvalidTable
 	}
 	off += n
-	c := &Codec{
-		//lint:allow intnarrow guarded above: alpha <= 1<<24
-		alphabet: int(alpha),
-		lengths:  make([]uint8, alpha),
-		codes:    make([]uint64, alpha),
+	// Each entry takes at least two bytes (a delta and a length), so a
+	// count the remaining bytes cannot hold is corrupt.
+	if cnt > uint64(len(data)-off)/2 {
+		return nil, 0, ErrInvalidTable
 	}
+	c := &Codec{
+		//lint:allow intnarrow guarded above: alpha <= maxAlphabet
+		alphabet: int(alpha),
+		syms:     make([]uint32, cnt),
+		lengths:  make([]uint8, cnt),
+	}
+	// Kraft sum in units of 2^-MaxCodeLen, checked per entry so that it
+	// cannot wrap: each term is at most 2^57.
+	var kraft uint64
 	prev := -1
-	for i := uint64(0); i < cnt; i++ {
+	for i := range c.syms {
 		d, n := bitio.Uvarint(data[off:])
 		if n == 0 || d == 0 {
 			return nil, 0, ErrInvalidTable
@@ -361,11 +442,10 @@ func ParseTable(data []byte) (*Codec, int, error) {
 		off += n
 		if d > alpha {
 			// A delta beyond the alphabet size cannot be valid, and an
-			// unchecked int(d) of a near-2^64 delta would wrap negative
-			// and index lengths[] out of range below.
+			// unchecked int(d) of a near-2^64 delta would wrap negative.
 			return nil, 0, ErrInvalidTable
 		}
-		//lint:allow intnarrow guarded above: d <= alpha <= 1<<24
+		//lint:allow intnarrow guarded above: d <= alpha <= maxAlphabet
 		sym := prev + int(d)
 		if sym >= c.alphabet {
 			return nil, 0, ErrInvalidTable
@@ -378,49 +458,79 @@ func ParseTable(data []byte) (*Codec, int, error) {
 		if l == 0 || l > MaxCodeLen {
 			return nil, 0, ErrInvalidTable
 		}
-		c.lengths[sym] = l
+		// Reject tables that would make Decode loop or misbehave.
+		if kraft += uint64(1) << (MaxCodeLen - l); kraft > 1<<MaxCodeLen {
+			return nil, 0, ErrInvalidTable
+		}
+		//lint:allow intnarrow sym < alphabet <= maxAlphabet
+		c.syms[i] = uint32(sym)
+		c.lengths[i] = l
 		prev = sym
 	}
-	// Validate Kraft inequality to reject corrupt tables that would make
-	// Decode loop or misbehave.
-	var kraft uint64
-	for _, l := range c.lengths {
-		if l > 0 {
-			kraft += uint64(1) << (MaxCodeLen - l)
-		}
-	}
-	if kraft > 1<<MaxCodeLen {
-		return nil, 0, ErrInvalidTable
-	}
-	c.finish()
+	c.canonical()
+	c.buildLUT()
 	return c, off, nil
 }
 
 // EncodeAll is a convenience that Huffman-encodes all symbols into a fresh
 // writer and returns (table || bit padding-aligned payload) with a uvarint
-// payload-bit-count between them.
+// payload-bit-count between them. Frequencies are counted over the span of
+// the nonzero symbols given, not the alphabet. Symbol 0 is counted apart:
+// it is SZ's unpredictable code, far below the codes clustered around the
+// alphabet's midpoint, and a span reaching down to it would cover half of
+// SZ's 65,537-symbol alphabet.
 func EncodeAll(symbols []int, alphabet int) ([]byte, error) {
-	freqs := make([]uint64, alphabet)
-	for _, s := range symbols {
-		if s < 0 || s >= alphabet {
-			return nil, fmt.Errorf("huffman: symbol %d out of range %d", s, alphabet)
-		}
-		freqs[s]++
+	if alphabet > maxAlphabet {
+		return nil, fmt.Errorf("huffman: alphabet %d exceeds %d", alphabet, maxAlphabet)
 	}
-	c, err := Build(freqs)
+	var zeros uint64
+	lo, hi := alphabet, -1
+	for _, s := range symbols {
+		switch {
+		case s < 0 || s >= alphabet:
+			return nil, fmt.Errorf("huffman: symbol %d out of range %d", s, alphabet)
+		case s == 0:
+			zeros++
+		default:
+			lo, hi = min(lo, s), max(hi, s)
+		}
+	}
+	span := make([]uint64, max(hi-lo+1, 0))
+	for _, s := range symbols {
+		if s != 0 {
+			span[s-lo]++
+		}
+	}
+	c, err := fromCounts(alphabet, zeros, span, lo)
 	if err != nil {
 		return nil, err
 	}
-	w := bitio.NewWriter(len(symbols) / 2)
-	for _, s := range symbols {
-		if err := c.Encode(w, s); err != nil {
-			return nil, err
+	// The counts are spent, so span becomes the encoding table: a code is
+	// at most MaxCodeLen = 58 bits, so code<<6 | length fits a word.
+	var enc0 uint64
+	for i, sym := range c.syms {
+		e := c.codes[i]<<6 | uint64(c.lengths[i])
+		if sym == 0 {
+			enc0 = e
+		} else {
+			span[int(sym)-lo] = e
 		}
 	}
-	out := c.AppendTable(nil)
+	w := bitio.NewWriter(len(symbols) / 2)
+	for _, s := range symbols {
+		e := enc0
+		if s != 0 {
+			e = span[s-lo]
+		}
+		w.WriteBits(e>>6, uint(e&63))
+	}
+	payload := w.Bytes()
+	// A table entry is at most 5 bytes (a delta <= 2^24 takes 4), and the
+	// two header uvarints and the count at most 18.
+	out := make([]byte, 0, 18+5*len(c.syms)+len(payload))
+	out = c.AppendTable(out)
 	out = bitio.AppendUvarint(out, uint64(len(symbols)))
-	out = append(out, w.Bytes()...)
-	return out, nil
+	return append(out, payload...), nil
 }
 
 // DecodeAll inverts EncodeAll, returning the symbols and bytes consumed.

@@ -20,16 +20,14 @@
 package sz
 
 import (
-	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"sort"
 
 	"repro/internal/bitio"
+	"repro/internal/deflate"
 	"repro/internal/floatbits"
 	"repro/internal/grid"
 	"repro/internal/huffman"
@@ -455,19 +453,12 @@ func assemble(mode int, dims []int, bound float64, opt Options, payload []byte, 
 	switch opt.Lossless {
 	case LosslessOff:
 	default:
-		var zbuf bytes.Buffer
-		zw, err := flate.NewWriter(&zbuf, flate.BestSpeed)
+		z, err := deflate.Compress(body)
 		if err != nil {
 			return nil, err
 		}
-		if _, err := zw.Write(body); err != nil {
-			return nil, err
-		}
-		if err := zw.Close(); err != nil {
-			return nil, err
-		}
-		if opt.Lossless == LosslessOn || zbuf.Len() < len(body)*97/100 {
-			body = zbuf.Bytes()
+		if opt.Lossless == LosslessOn || len(z) < len(body)*97/100 {
+			body = z
 			flags |= flagFlate
 		}
 	}
@@ -555,13 +546,11 @@ func parseHeader(buf []byte) (mode int, dims []int, bound float64, intervals, bl
 	off += k
 	body = buf[off : off+int(blen)]
 	if flags&flagFlate != 0 {
-		zr := flate.NewReader(bytes.NewReader(body))
-		dec, err2 := io.ReadAll(io.LimitReader(zr, 1<<34))
+		dec, err2 := deflate.Decompress(body, 1<<34)
 		if err2 != nil {
 			err = fmt.Errorf("%w: %v", ErrCorrupt, err2)
 			return
 		}
-		_ = zr.Close() // nothing to report: body was fully read above
 		body = dec
 	}
 	if !(bound > 0) || math.IsNaN(bound) || math.IsInf(bound, 0) {

@@ -3,10 +3,13 @@ package sz
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/bitio"
 	"repro/internal/grid"
+	"repro/internal/testutil"
 )
 
 // smooth3D generates a smooth 3D field plus mild noise, the easy case for
@@ -554,4 +557,36 @@ func TestPWRRoundTrip4D(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkRelBound(t, data, dec, 0.01, true)
+}
+
+// TestHostileHuffmanTableMemory: a stream whose Huffman table declares a
+// 2^24-symbol alphabet with one symbol (7 bytes) must fail to decode
+// without allocating for the declared alphabet. The stream's dims ask for
+// 600 codes and its payload holds 8.
+func TestHostileHuffmanTableMemory(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("the race detector's own allocations swamp the ceiling")
+	}
+	table := []byte{0x80, 0x80, 0x80, 0x08, 0x01, 0x01, 0x01}
+	hbuf := append(append([]byte(nil), table...), 0x08, 0x00) // 8 symbols of code 0
+	payload := bitio.AppendUvarint(nil, uint64(len(hbuf)))
+	payload = append(payload, hbuf...)
+	payload = bitio.AppendUvarint(payload, 0) // no raw values
+	payload = bitio.AppendUvarint(payload, 0)
+	opt := (&Options{Lossless: LosslessOff}).withDefaults()
+	stream, err := assemble(modeAbs, []int{600}, 1e-3, opt, payload, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	_, _, err = Decompress(stream)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a stream of 8 codes for 600 points decoded without error")
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 8<<10 {
+		t.Fatalf("refusing a %d-byte stream allocated %d bytes", len(stream), n)
+	}
 }

@@ -212,6 +212,31 @@ func TestStreamParitySalvageTruncatedGroup(t *testing.T) {
 	checkRegions(t, rep, out.Bytes(), clean, 4)
 }
 
+// TestStreamParitySalvageLostBytesInContainer cuts the container one byte
+// short of each frame's end, so the frame's length prefix survives and the
+// scan delimits it past the cut: every reported damaged range must still
+// end at or before the bytes actually read.
+func TestStreamParitySalvageLostBytesInContainer(t *testing.T) {
+	defer testutil.NoLeak(t)()
+	stream, _, frames, _, _ := parityFixture(t)
+	for _, f := range frames {
+		cut := f.End - 1
+		var out bytes.Buffer
+		rep, err := DecompressStreamSalvage(bytes.NewReader(stream[:cut]), &out)
+		if err != nil {
+			t.Fatalf("cut at %d: %v", cut, err)
+		}
+		if rep.BytesIn != cut || len(rep.LostBytes) == 0 {
+			t.Fatalf("cut at %d: BytesIn %d, LostBytes %v", cut, rep.BytesIn, rep.LostBytes)
+		}
+		for _, r := range rep.LostBytes {
+			if r.Lo > r.Hi || r.Hi > rep.BytesIn {
+				t.Fatalf("cut at %d: LostBytes %v runs past the %d bytes read", cut, rep.LostBytes, rep.BytesIn)
+			}
+		}
+	}
+}
+
 // TestStreamParityReadRowsRepair damages each chunk and reads the full
 // range through the seekable path: the read must succeed byte-identically
 // via repair, with the repair accounted once and parity fetches not

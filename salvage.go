@@ -198,14 +198,15 @@ func (r *SalvageReport) addLostRows(lo, hi int) {
 
 // addLostBytes appends the damaged region for a frame. A frame with an
 // unknown extent (End == 0: structure lost) damages everything from the
-// last known frame boundary to the end of the container.
+// last known frame boundary to the end of the container. Every region is
+// clipped to the container: a truncation that keeps a frame's length
+// prefix leaves its declared end past the last byte.
 func (r *SalvageReport) addLostBytes(off, end, lastEnd, total int64) {
 	if end == 0 {
 		off, end = lastEnd, total
-		if off > end {
-			off = end
-		}
 	}
+	end = min(end, total)
+	off = min(off, end)
 	if n := len(r.LostBytes); n > 0 {
 		last := &r.LostBytes[n-1]
 		if off <= last.Hi {
