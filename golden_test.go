@@ -31,6 +31,7 @@ import (
 	"testing"
 
 	"repro/internal/datagen"
+	"repro/internal/grid"
 	"repro/internal/streamfmt"
 )
 
@@ -47,10 +48,78 @@ func goldenField() datagen.Field {
 // goldenCase describes one fixture: make rebuilds it from the golden
 // field, and TestGoldenDecode asserts that it still reproduces the
 // committed bytes exactly. The legacy parallel format has no writer any
-// more, so its make is a test-only builder.
+// more, so its make is a test-only builder. dims is the shape the
+// fixture decodes to; nil means the golden field's own.
 type goldenCase struct {
 	name string
+	dims []int
 	make func(f datagen.Field) ([]byte, error)
+}
+
+// goldenShapes reshapes the golden field's 512 values to ranks 1, 2
+// and 4, so the rank-dependent Lorenzo paths of SZ and FPZIP are pinned
+// as well as the rank-3 one every other fixture takes.
+var goldenShapes = [][]int{{512}, {16, 32}, {2, 4, 8, 8}}
+
+// goldenNonFinite returns a copy of the golden field with NaN, ±Inf,
+// exact zeros and negated values mixed in, the points SZ stores
+// verbatim or routes around its quantizer.
+func goldenNonFinite(f datagen.Field) []float64 {
+	data := append([]float64(nil), f.Data...)
+	for i := range data {
+		switch {
+		case i%37 == 5:
+			data[i] = math.NaN()
+		case i%41 == 7:
+			data[i] = math.Inf(1)
+		case i%43 == 11:
+			data[i] = math.Inf(-1)
+		case i%13 == 3:
+			data[i] = 0
+		case i%5 == 2:
+			data[i] = -data[i]
+		}
+	}
+	return data
+}
+
+// goldenCodecCases pins SZ_T, SZ_PWR, SZ_ABS and FPZIP at every shape
+// of goldenShapes, FPZIP's float32 layout, and SZ's three modes on
+// goldenNonFinite.
+func goldenCodecCases() []goldenCase {
+	var cases []goldenCase
+	for _, shape := range goldenShapes {
+		shape := shape
+		suffix := fmt.Sprintf("_r%d", len(shape))
+		for _, algo := range []Algorithm{SZT, SZPWR, FPZIP} {
+			algo := algo
+			cases = append(cases, goldenCase{name: strings.ToLower(algo.String()) + suffix, dims: shape,
+				make: func(f datagen.Field) ([]byte, error) {
+					return Compress(f.Data, shape, 1e-2, algo, nil)
+				}})
+		}
+		cases = append(cases, goldenCase{name: "sz_abs" + suffix, dims: shape,
+			make: func(f datagen.Field) ([]byte, error) {
+				return CompressAbs(f.Data, shape, 0.01, SZABS, nil)
+			}})
+	}
+	cases = append(cases, goldenCase{name: "fpzip32", make: func(f datagen.Field) ([]byte, error) {
+		f32 := make([]float32, len(f.Data))
+		for i, v := range f.Data {
+			f32[i] = float32(v)
+		}
+		return Compress32(f32, f.Dims, 1e-2, FPZIP, nil)
+	}})
+	for _, algo := range []Algorithm{SZT, SZPWR} {
+		algo := algo
+		cases = append(cases, goldenCase{name: strings.ToLower(algo.String()) + "_nonfinite",
+			make: func(f datagen.Field) ([]byte, error) {
+				return Compress(goldenNonFinite(f), f.Dims, 1e-2, algo, nil)
+			}})
+	}
+	return append(cases, goldenCase{name: "sz_abs_nonfinite", make: func(f datagen.Field) ([]byte, error) {
+		return CompressAbs(goldenNonFinite(f), f.Dims, 0.01, SZABS, nil)
+	}})
 }
 
 func goldenCases() []goldenCase {
@@ -95,7 +164,7 @@ func goldenCases() []goldenCase {
 			return buf.Bytes(), err
 		}},
 	)
-	return cases
+	return append(cases, goldenCodecCases()...)
 }
 
 func decodedCRC(dec []float64) uint32 {
@@ -196,8 +265,12 @@ func TestGoldenDecode(t *testing.T) {
 			if err != nil {
 				t.Fatalf("format drift: committed fixture no longer decodes: %v", err)
 			}
-			if len(dec) != len(f.Data) || len(dims) != len(f.Dims) {
-				t.Fatalf("decoded shape %v/%d, want %v/%d", dims, len(dec), f.Dims, len(f.Data))
+			wantDims := c.dims
+			if wantDims == nil {
+				wantDims = f.Dims
+			}
+			if len(dec) != len(f.Data) || !grid.EqualDims(dims, wantDims) {
+				t.Fatalf("decoded shape %v/%d, want %v/%d", dims, len(dec), wantDims, len(f.Data))
 			}
 			if got := decodedCRC(dec); got != wantCRC {
 				t.Fatalf("format drift: decoded CRC %08x, manifest says %08x", got, wantCRC)

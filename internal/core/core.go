@@ -159,21 +159,13 @@ func (o *Options) withDefaults() Options {
 }
 
 // Transformed is the output of Forward: the log-domain field plus the side
-// information needed to invert it.
+// information needed to invert it, whose AbsBound (b'_a) is the absolute
+// bound to compress Log with.
 type Transformed struct {
 	// Log is the transformed field (log_a|x|, with zeros/non-finite values
 	// at the sentinel).
 	Log []float64
-	// AbsBound is b'_a, the absolute bound to compress Log with.
-	AbsBound float64
-
-	base        Base
-	relBound    float64
-	allPositive bool
-	signs       []byte   // packed bitmap, 1 = negative (nil if allPositive)
-	excIdx      []uint64 // positions of non-finite values (delta-encoded at serialization)
-	excVal      []uint64 // their raw IEEE bits
-	n           int
+	SideInfo
 }
 
 // Forward applies the logarithmic transform (Algorithm 1, lines 1–17).
@@ -189,11 +181,8 @@ func Forward(data []float64, relBound float64, opts *Options) (*Transformed, err
 	n := len(data)
 
 	tr := &Transformed{
-		Log:         make([]float64, n),
-		base:        base,
-		relBound:    relBound,
-		allPositive: true,
-		n:           n,
+		Log:      make([]float64, n),
+		SideInfo: SideInfo{Base: base, RelBound: relBound, AllPositive: true, N: n},
 	}
 
 	// Pass 1: signs, exceptions, max |log|.
@@ -234,7 +223,7 @@ func Forward(data []float64, relBound float64, opts *Options) (*Transformed, err
 	var signs []byte
 	if negSeen {
 		signs = make([]byte, (n+7)/8)
-		tr.allPositive = false
+		tr.AllPositive = false
 	}
 	for i, v := range data {
 		switch {
@@ -243,8 +232,8 @@ func Forward(data []float64, relBound float64, opts *Options) (*Transformed, err
 			// a handful of mantissa ulps, the inverse exponential's rounding
 			// alone can exceed any relative bound, which Lemma 2's guard
 			// (sized for normal values) does not cover.
-			tr.excIdx = append(tr.excIdx, uint64(i))
-			tr.excVal = append(tr.excVal, math.Float64bits(v))
+			tr.ExcIdx = append(tr.ExcIdx, uint64(i))
+			tr.ExcVal = append(tr.ExcVal, math.Float64bits(v))
 			tr.Log[i] = sentinel
 		case floatbits.IsZero(v):
 			tr.Log[i] = sentinel
@@ -255,7 +244,7 @@ func Forward(data []float64, relBound float64, opts *Options) (*Transformed, err
 			tr.Log[i] = base.log(math.Abs(v))
 		}
 	}
-	tr.signs = signs
+	tr.Signs = signs
 	return tr, nil
 }
 
@@ -305,15 +294,16 @@ func (tr *SideInfo) Inverse(logData []float64, dst []float64) ([]float64, error)
 	return dst, nil
 }
 
-// SideInfo is the deserialized transform metadata needed by Inverse.
+// SideInfo is the transform metadata needed by Inverse: Forward fills it,
+// AppendHeader writes it and ParseHeader reads it back.
 type SideInfo struct {
 	Base        Base
 	RelBound    float64
 	AbsBound    float64
 	AllPositive bool
-	Signs       []byte
-	ExcIdx      []uint64
-	ExcVal      []uint64
+	Signs       []byte   // packed bitmap, 1 = negative (nil if AllPositive)
+	ExcIdx      []uint64 // positions of non-finite and denormal values (delta-encoded in the header)
+	ExcVal      []uint64 // their raw IEEE bits
 	N           int
 }
 
@@ -329,35 +319,35 @@ const (
 // AppendHeader serializes the transform side information.
 func (tr *Transformed) AppendHeader(dst []byte) []byte {
 	dst = binary.BigEndian.AppendUint32(dst, headerMagic)
-	dst = append(dst, byte(tr.base))
+	dst = append(dst, byte(tr.Base))
 	flags := byte(0)
 	var signBlob []byte
-	if tr.allPositive {
+	if tr.AllPositive {
 		flags |= flagAllPositive
 	} else {
 		// Compress the sign bitmap losslessly (Algorithm 1 line 16).
-		if z, err := deflate.Compress(tr.signs); err == nil && len(z) < len(tr.signs) {
+		if z, err := deflate.Compress(tr.Signs); err == nil && len(z) < len(tr.Signs) {
 			signBlob = z
 			flags |= flagSignsFlate
 		}
 		if signBlob == nil {
-			signBlob = tr.signs
+			signBlob = tr.Signs
 		}
 	}
 	dst = append(dst, flags)
-	dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(tr.relBound))
+	dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(tr.RelBound))
 	dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(tr.AbsBound))
-	dst = bitio.AppendUvarint(dst, uint64(tr.n))
-	if !tr.allPositive {
+	dst = bitio.AppendUvarint(dst, uint64(tr.N))
+	if !tr.AllPositive {
 		dst = bitio.AppendUvarint(dst, uint64(len(signBlob)))
 		dst = append(dst, signBlob...)
 	}
-	dst = bitio.AppendUvarint(dst, uint64(len(tr.excIdx)))
+	dst = bitio.AppendUvarint(dst, uint64(len(tr.ExcIdx)))
 	prev := uint64(0)
-	for k, idx := range tr.excIdx {
+	for k, idx := range tr.ExcIdx {
 		dst = bitio.AppendUvarint(dst, idx-prev)
 		prev = idx
-		dst = binary.BigEndian.AppendUint64(dst, tr.excVal[k])
+		dst = binary.BigEndian.AppendUint64(dst, tr.ExcVal[k])
 	}
 	return dst
 }

@@ -1,189 +1,48 @@
 package fpzip
 
-import (
-	"encoding/binary"
-	"fmt"
-	"math"
-
-	"repro/internal/bitio"
-	"repro/internal/grid"
-	"repro/internal/predictor"
-	"repro/internal/rangecoder"
-)
+import "math"
 
 // Float32 layout: 1 sign + 8 exponent bits, so truncating to p bits keeps
 // p−9 mantissa bits and the guaranteed relative error is 2^(9−p). This is
 // the layout behind the paper's Table IV settings (-p 13/16/19 for bounds
 // 1e-1/1e-2/1e-3), which this file reproduces natively rather than through
 // the float64 widening path.
-
-const (
-	magic32       = 0x46505A32 // "FPZ2"
-	signExpBits32 = 9
-)
+var float32Layout = layout{magic: 0x46505A32, width: 32, signExp: 9, inf: 0x7F800000, nan: 0x7FC00000} // "FPZ2"
 
 // PrecisionForRelBound32 returns the smallest float32 precision whose
 // guaranteed maximum relative error 2^(9−p) is ≤ relBound. The returned
 // values match the paper's Table IV settings column.
 func PrecisionForRelBound32(relBound float64) (int, error) {
-	if !(relBound > 0) || relBound >= 1 {
-		return 0, fmt.Errorf("fpzip: relative bound %v out of (0,1)", relBound)
-	}
-	p := signExpBits32 + int(math.Ceil(math.Log2(1/relBound)))
-	if p > 32 {
-		p = 32
-	}
-	if p < 2 {
-		p = 2
-	}
-	return p, nil
+	return float32Layout.precision(relBound)
 }
 
 // MaxRelError32 returns the guaranteed maximum relative error of float32
 // precision p.
-func MaxRelError32(p int) float64 {
-	if p >= 32 {
-		return 0
-	}
-	return math.Exp2(float64(signExpBits32 - p))
-}
-
-// toOrderedInt32 maps a float32 to an order-preserving int32.
-func toOrderedInt32(f float32) int32 {
-	i := int32(math.Float32bits(f))
-	if i < 0 {
-		i ^= 0x7fffffff
-	}
-	return i
-}
-
-func fromOrderedInt32(v int32) float32 {
-	if v < 0 {
-		v ^= 0x7fffffff
-	}
-	return math.Float32frombits(uint32(v))
-}
+func MaxRelError32(p int) float64 { return float32Layout.maxRelError(p) }
 
 // Compress32 encodes float32 data with precision p in [2, 32]; p = 32 is
-// lossless.
+// lossless for non-NaN input.
 func Compress32(data []float32, dims []int, p int) ([]byte, error) {
-	if p < 2 || p > 32 {
-		return nil, ErrBadPrecision
-	}
-	if err := grid.Validate(dims, len(data)); err != nil {
-		return nil, err
-	}
-	if len(dims) > maxRank {
-		return nil, fmt.Errorf("fpzip: rank %d unsupported", len(dims))
-	}
-	shift := uint(32 - p)
-	n := len(data)
-	tr := make([]int64, n)
+	tr := make([]int64, len(data))
 	for i, v := range data {
-		tr[i] = int64(toOrderedInt32(v) >> shift)
+		tr[i] = float32Layout.truncate(uint64(math.Float32bits(v)), p)
 	}
-	field, err := predictor.NewIntField(tr, dims)
-	if err != nil {
-		return nil, err
-	}
-	enc := rangecoder.NewEncoder(n / 2)
-	model := rangecoder.NewAdaptiveModel(65)
-	field.Walk(func(lin int, coord []int) {
-		pred := field.Predict(lin, coord)
-		r := bitio.ZigZag(tr[lin] - pred)
-		l := bitlen(r)
-		model.EncodeSymbol(enc, l)
-		if l > 1 {
-			enc.EncodeBits(r, uint(l-1))
-		}
-	})
-	payload := enc.Finish()
-
-	out := make([]byte, 0, len(payload)+32)
-	out = binary.BigEndian.AppendUint32(out, magic32)
-	out = append(out, byte(p))
-	out = bitio.AppendUvarint(out, uint64(len(dims)))
-	for _, d := range dims {
-		out = bitio.AppendUvarint(out, uint64(d))
-	}
-	out = bitio.AppendUvarint(out, uint64(len(payload)))
-	return append(out, payload...), nil
+	return float32Layout.encode(tr, dims, p)
 }
 
 // Decompress32 decodes a stream produced by Compress32.
 func Decompress32(buf []byte) ([]float32, []int, error) {
-	if len(buf) < 5 || binary.BigEndian.Uint32(buf) != magic32 {
-		return nil, nil, ErrCorrupt
-	}
-	p := int(buf[4])
-	if p < 2 || p > 32 {
-		return nil, nil, ErrCorrupt
-	}
-	off := 5
-	rankU, k := bitio.Uvarint(buf[off:])
-	if k == 0 || rankU == 0 || rankU > maxRank {
-		return nil, nil, ErrCorrupt
-	}
-	off += k
-	dims := make([]int, rankU)
-	for i := range dims {
-		d, k := bitio.Uvarint(buf[off:])
-		if k == 0 || d == 0 || d > 1<<40 {
-			return nil, nil, ErrCorrupt
-		}
-		dims[i] = int(d)
-		off += k
-	}
-	if err := grid.Validate(dims, -1); err != nil {
-		return nil, nil, ErrCorrupt
-	}
-	plen, k := bitio.Uvarint(buf[off:])
-	if k == 0 || plen > uint64(len(buf)-off-k) {
-		return nil, nil, ErrCorrupt
-	}
-	off += k
-	dec := rangecoder.NewDecoder(buf[off : off+int(plen)])
-	model := rangecoder.NewAdaptiveModel(65)
-
-	n := grid.Size(dims)
-	tr := make([]int64, n)
-	field, err := predictor.NewIntField(tr, dims)
+	p, dims, tr, err := float32Layout.decode(buf)
 	if err != nil {
 		return nil, nil, err
 	}
-	shift := uint(32 - p)
-	out := make([]float32, n)
-	var werr error
-	field.Walk(func(lin int, coord []int) {
-		if werr != nil {
-			return
+	out := make([]float32, len(tr))
+	for i, t := range tr {
+		u, ok := float32Layout.restore(t, p)
+		if !ok {
+			return nil, nil, ErrCorrupt
 		}
-		sym, err := model.DecodeSymbol(dec)
-		if err != nil {
-			werr = err
-			return
-		}
-		var z uint64
-		switch {
-		case sym == 1:
-			z = 1
-		case sym > 1:
-			z = 1<<uint(sym-1) | dec.DecodeBits(uint(sym-1))
-		}
-		pred := field.Predict(lin, coord)
-		tr[lin] = pred + bitio.UnZigZag(z)
-		v := tr[lin] << shift
-		if v > math.MaxInt32 || v < math.MinInt32 {
-			werr = ErrCorrupt
-			return
-		}
-		out[lin] = fromOrderedInt32(int32(v))
-	})
-	if werr != nil {
-		return nil, nil, werr
-	}
-	if dec.Overrun() {
-		return nil, nil, ErrCorrupt
+		out[i] = math.Float32frombits(uint32(u))
 	}
 	return out, dims, nil
 }

@@ -41,14 +41,15 @@ func TestPrecision32MatchesPaperSettings(t *testing.T) {
 }
 
 func TestOrderedInt32Monotone(t *testing.T) {
+	ordered := func(v float32) int64 { return float32Layout.truncate(uint64(math.Float32bits(v)), 32) }
 	vals := []float32{float32(math.Inf(-1)), -1e30, -1, -1e-30, 0, 1e-30, 1, 1e30, float32(math.Inf(1))}
 	for i := 1; i < len(vals); i++ {
-		if toOrderedInt32(vals[i-1]) >= toOrderedInt32(vals[i]) {
+		if ordered(vals[i-1]) >= ordered(vals[i]) {
 			t.Fatalf("order violated at %v < %v", vals[i-1], vals[i])
 		}
 	}
 	for _, v := range vals {
-		if fromOrderedInt32(toOrderedInt32(v)) != v {
+		if u, ok := float32Layout.restore(ordered(v), 32); !ok || math.Float32frombits(uint32(u)) != v {
 			t.Fatalf("round trip %v", v)
 		}
 	}

@@ -287,3 +287,64 @@ func TestRoundTrip4D(t *testing.T) {
 	}
 	checkRel(t, data, dec, MaxRelError(22))
 }
+
+// TestNonFiniteSurvive sweeps every precision a relative bound can
+// select in both layouts: NaN of any sign and payload must decode as a
+// NaN, ±Inf exactly, and finite values within the precision's bound.
+// Flooring the ordered integers used to carry a NaN with a small payload
+// into +Inf's bucket and −Inf into the negative NaNs below it.
+func TestNonFiniteSurvive(t *testing.T) {
+	nans := []uint64{0x7FF0000000000001, 0x7FF8000000000000, 0x7FFFFFFFFFFFFFFF, 0xFFF0000000000001, 0xFFF8000000000000}
+	data := []float64{1, math.Inf(-1), -2.5, math.Inf(1), 3e-300, -1e300, 0}
+	for _, u := range nans {
+		data = append(data, math.Float64frombits(u), 7)
+	}
+	check := func(t *testing.T, orig, dec float64, rel float64) {
+		t.Helper()
+		switch {
+		case math.IsNaN(orig):
+			if !math.IsNaN(dec) {
+				t.Fatalf("NaN %x decoded to %v", math.Float64bits(orig), dec)
+			}
+		case math.IsInf(orig, 0) || orig == 0:
+			if math.Float64bits(dec) != math.Float64bits(orig) {
+				t.Fatalf("%v decoded to %v", orig, dec)
+			}
+		case math.Abs(dec-orig) > rel*math.Abs(orig):
+			t.Fatalf("%v decoded to %v, past %g", orig, dec, rel)
+		}
+	}
+	lo, _ := PrecisionForRelBound(0.99)
+	for p := lo; p <= 64; p++ {
+		buf, err := Compress(data, []int{len(data)}, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec, _, err := Decompress(buf)
+		if err != nil {
+			t.Fatalf("p=%d: %v", p, err)
+		}
+		for i := range data {
+			check(t, data[i], dec[i], MaxRelError(p))
+		}
+	}
+	data32 := make([]float32, len(data))
+	for i, v := range data {
+		data32[i] = float32(v)
+	}
+	data32 = append(data32, math.Float32frombits(0x7F800001), math.Float32frombits(0xFF800001))
+	lo, _ = PrecisionForRelBound32(0.99)
+	for p := lo; p <= 32; p++ {
+		buf, err := Compress32(data32, []int{len(data32)}, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec, _, err := Decompress32(buf)
+		if err != nil {
+			t.Fatalf("p=%d: %v", p, err)
+		}
+		for i := range data32 {
+			check(t, float64(data32[i]), float64(dec[i]), MaxRelError32(p))
+		}
+	}
+}

@@ -10,6 +10,8 @@ package grid
 import (
 	"errors"
 	"fmt"
+
+	"repro/internal/bitio"
 )
 
 // MaxDims is the highest dimensionality supported by the compressors here
@@ -41,6 +43,43 @@ func Validate(dims []int, n int) error {
 		return fmt.Errorf("%w: dims product %d != data length %d", ErrBadDims, total, n)
 	}
 	return nil
+}
+
+// maxExtent caps one extent a stream header may declare.
+const maxExtent = 1 << 40
+
+// AppendDims appends the geometry prefix every codec header carries: the
+// rank, then each extent, as uvarints.
+func AppendDims(dst []byte, dims []int) []byte {
+	dst = bitio.AppendUvarint(dst, uint64(len(dims)))
+	for _, d := range dims {
+		dst = bitio.AppendUvarint(dst, uint64(d))
+	}
+	return dst
+}
+
+// ParseDims reads a prefix written by AppendDims and returns the dims and
+// the bytes it took. It refuses a rank outside [1, maxRank], an extent of
+// 0 or above 2^40, and dims whose product Validate refuses; callers map
+// the error onto their own corrupt-stream error.
+func ParseDims(buf []byte, maxRank int) ([]int, int, error) {
+	rank, off := bitio.Uvarint(buf)
+	if off == 0 || rank == 0 || rank > uint64(maxRank) {
+		return nil, 0, fmt.Errorf("%w: rank %d", ErrBadDims, rank)
+	}
+	dims := make([]int, rank)
+	for i := range dims {
+		d, k := bitio.Uvarint(buf[off:])
+		if k == 0 || d == 0 || d > maxExtent {
+			return nil, 0, fmt.Errorf("%w: extent %d", ErrBadDims, d)
+		}
+		dims[i] = int(d)
+		off += k
+	}
+	if err := Validate(dims, -1); err != nil {
+		return nil, 0, err
+	}
+	return dims, off, nil
 }
 
 // Size returns the total number of elements implied by dims.

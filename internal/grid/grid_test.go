@@ -1,9 +1,12 @@
 package grid
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/bitio"
 )
 
 func TestValidate(t *testing.T) {
@@ -134,5 +137,42 @@ func TestForEachOrderRowMajor(t *testing.T) {
 	want := []int{1, 2, 4, 5}
 	if !EqualDims(got, want) {
 		t.Fatalf("order = %v, want %v", got, want)
+	}
+}
+
+func TestParseDimsRoundTrip(t *testing.T) {
+	for _, dims := range [][]int{{1}, {512}, {16, 32}, {8, 8, 8}, {2, 4, 8, 8}, {1 << 40}} {
+		buf := AppendDims([]byte{0xEE}, dims)
+		buf = append(buf, 0xFF) // trailing bytes are the caller's
+		got, used, err := ParseDims(buf[1:], MaxDims)
+		if err != nil || !EqualDims(got, dims) || used != len(buf)-2 {
+			t.Fatalf("%v: got %v, used %d of %d, err %v", dims, got, used, len(buf)-2, err)
+		}
+	}
+}
+
+func TestParseDimsRefuses(t *testing.T) {
+	uv := func(vs ...uint64) []byte {
+		var b []byte
+		for _, v := range vs {
+			b = bitio.AppendUvarint(b, v)
+		}
+		return b
+	}
+	for name, tc := range map[string]struct {
+		buf     []byte
+		maxRank int
+	}{
+		"empty":          {nil, MaxDims},
+		"rank zero":      {uv(0), MaxDims},
+		"rank over cap":  {uv(4, 2, 2, 2, 2), 3},
+		"zero extent":    {uv(2, 3, 0), MaxDims},
+		"extent > 2^40":  {uv(1, 1<<40+1), MaxDims},
+		"truncated":      {uv(3, 2, 2), MaxDims},
+		"count overflow": {uv(2, 1<<40, 1<<40), MaxDims},
+	} {
+		if _, _, err := ParseDims(tc.buf, tc.maxRank); !errors.Is(err, ErrBadDims) {
+			t.Errorf("%s: err %v, want ErrBadDims", name, err)
+		}
 	}
 }

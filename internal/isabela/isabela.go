@@ -193,10 +193,7 @@ func Compress(data []float64, dims []int, relBound float64, opts *Options) ([]by
 
 	out := make([]byte, 0, len(payload)+64)
 	out = binary.BigEndian.AppendUint32(out, magic)
-	out = bitio.AppendUvarint(out, uint64(len(dims)))
-	for _, d := range dims {
-		out = bitio.AppendUvarint(out, uint64(d))
-	}
+	out = grid.AppendDims(out, dims)
 	out = binary.BigEndian.AppendUint64(out, math.Float64bits(relBound))
 	out = bitio.AppendUvarint(out, uint64(opt.Window))
 	out = codec.AppendTable(out)
@@ -209,24 +206,11 @@ func Decompress(buf []byte) ([]float64, []int, error) {
 	if len(buf) < 5 || binary.BigEndian.Uint32(buf) != magic {
 		return nil, nil, ErrCorrupt
 	}
-	off := 4
-	rankU, k := bitio.Uvarint(buf[off:])
-	if k == 0 || rankU == 0 || rankU > grid.MaxDims {
+	dims, off, err := grid.ParseDims(buf[4:], grid.MaxDims)
+	if err != nil {
 		return nil, nil, ErrCorrupt
 	}
-	off += k
-	dims := make([]int, rankU)
-	for i := range dims {
-		d, k := bitio.Uvarint(buf[off:])
-		if k == 0 || d == 0 || d > 1<<40 {
-			return nil, nil, ErrCorrupt
-		}
-		dims[i] = int(d)
-		off += k
-	}
-	if err := grid.Validate(dims, -1); err != nil {
-		return nil, nil, ErrCorrupt
-	}
+	off += 4
 	if off+8 > len(buf) {
 		return nil, nil, ErrCorrupt
 	}

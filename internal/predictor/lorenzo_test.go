@@ -156,7 +156,7 @@ func TestIntFieldMatchesFloatOnIntegers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fi, err := NewIntField(ibuf, dims)
+	fi, err := NewField(ibuf, dims)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestIntFieldMatchesFloatOnIntegers(t *testing.T) {
 }
 
 func TestIntFieldValidates(t *testing.T) {
-	if _, err := NewIntField(make([]int64, 3), []int{4}); err == nil {
+	if _, err := NewField(make([]int64, 3), []int{4}); err == nil {
 		t.Fatal("expected length mismatch error")
 	}
 }
@@ -206,7 +206,7 @@ func TestIntField2DPlane(t *testing.T) {
 			buf[y*6+x] = int64(2*x + 3*y + 1)
 		}
 	}
-	f, err := NewIntField(buf, dims)
+	f, err := NewField(buf, dims)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestIntField2DPlane(t *testing.T) {
 }
 
 func TestIntField1DBorder(t *testing.T) {
-	f, err := NewIntField([]int64{7, 9, 11}, []int{3})
+	f, err := NewField([]int64{7, 9, 11}, []int{3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestIntField1DBorder(t *testing.T) {
 }
 
 func TestIntFieldWalkOrder(t *testing.T) {
-	f, err := NewIntField(make([]int64, 8), []int{2, 2, 2})
+	f, err := NewField(make([]int64, 8), []int{2, 2, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +265,7 @@ func TestIntField4DMatchesFloat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fi, err := NewIntField(ibuf, dims)
+	fi, err := NewField(ibuf, dims)
 	if err != nil {
 		t.Fatal(err)
 	}

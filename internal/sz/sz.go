@@ -151,9 +151,6 @@ func CompressAbs(data []float64, dims []int, bound float64, opts *Options) ([]by
 	if err := grid.Validate(dims, len(data)); err != nil {
 		return nil, err
 	}
-	if len(dims) > maxRank {
-		return nil, fmt.Errorf("sz: rank %d unsupported", len(dims))
-	}
 	if !(bound > 0) || math.IsInf(bound, 0) || math.IsNaN(bound) {
 		return nil, ErrBadBound
 	}
@@ -161,38 +158,7 @@ func CompressAbs(data []float64, dims []int, bound float64, opts *Options) ([]by
 	if opt.Intervals == IntervalsAuto {
 		opt.Intervals = estimateIntervals(data, dims, bound)
 	}
-
-	n := len(data)
-	recon := make([]float64, n)
-	field, err := predictor.NewField(recon, dims)
-	if err != nil {
-		return nil, err
-	}
-	q := quant.New(bound, opt.Intervals)
-	codes := make([]int, n)
-	raw := newRawEncoder(bound)
-
-	field.Walk(func(lin int, coord []int) {
-		v := data[lin]
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			codes[lin] = quant.Unpredictable
-			recon[lin] = v
-			raw.add(v)
-			return
-		}
-		pred := field.Predict(lin, coord)
-		code, rec, ok := q.Quantize(v, pred)
-		if !ok {
-			codes[lin] = quant.Unpredictable
-			tv := raw.add(v)
-			recon[lin] = tv
-			return
-		}
-		codes[lin] = code
-		recon[lin] = rec
-	})
-
-	payload, err := encodePayload(codes, q.Alphabet(), raw)
+	payload, err := quantizeField(data, dims, opt.Intervals, bound, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -209,9 +175,6 @@ func CompressPWR(data []float64, dims []int, relBound float64, opts *Options) ([
 	if err := grid.Validate(dims, len(data)); err != nil {
 		return nil, err
 	}
-	if len(dims) > maxRank {
-		return nil, fmt.Errorf("sz: rank %d unsupported", len(dims))
-	}
 	if !(relBound > 0) || relBound >= 1 || math.IsNaN(relBound) {
 		return nil, ErrBadBound
 	}
@@ -220,135 +183,144 @@ func CompressPWR(data []float64, dims []int, relBound float64, opts *Options) ([
 		// Block-wise bounds vary; fall back to the full capacity.
 		opt.Intervals = 65536
 	}
-	n := len(data)
-
-	// Pass 1: per-block bound exponents.
-	blockExps, pointBin, err := blockBounds(data, dims, relBound, opt.BlockSide)
+	exps, err := blockExps(data, dims, relBound, opt.BlockSide)
 	if err != nil {
 		return nil, err
 	}
+	bounds, err := pointBounds(exps, dims, opt.BlockSide)
+	if err != nil {
+		return nil, err
+	}
+	payload, err := quantizeField(data, dims, opt.Intervals, 0, bounds)
+	if err != nil {
+		return nil, err
+	}
+	return assemble(modePWR, dims, relBound, opt, payload, exps)
+}
 
-	recon := make([]float64, n)
+// quantizeField is stage I for both modes: it walks the field in Lorenzo
+// order, predicts each point from the reconstructed neighbours and
+// quantizes the residual with one quantizer of the given bound, or, when
+// bounds is non-nil (PWR), with one made from the point's own bound. A
+// point the quantizer refuses (NaN, ±Inf, a zero bound, a residual out of
+// range or pushed past the bound by rounding) is stored verbatim,
+// truncated to its bound. It returns the encoded payload.
+func quantizeField(data []float64, dims []int, intervals int, bound float64, bounds []float64) ([]byte, error) {
+	recon := make([]float64, len(data))
 	field, err := predictor.NewField(recon, dims)
 	if err != nil {
 		return nil, err
 	}
-	codes := make([]int, n)
-	raw := newRawEncoder(0) // per-point tolerance set on each add
-	radius := opt.Intervals / 2
-
+	fixed := *quant.New(bound, intervals)
+	codes := make([]int, len(data))
+	var raw rawEncoder
 	field.Walk(func(lin int, coord []int) {
+		q := fixed // a per-point copy: reassigning fixed would move it to the heap
+		if bounds != nil {
+			q = *quant.New(bounds[lin], intervals)
+		}
 		v := data[lin]
-		bin := pointBin[lin]
-		if math.IsNaN(v) || math.IsInf(v, 0) || bin <= 0 {
-			codes[lin] = quant.Unpredictable
-			recon[lin] = v
-			raw.addTol(v, 0)
-			return
+		code, rec, ok := q.Quantize(v, field.Predict(lin, coord))
+		if !ok {
+			code, rec = quant.Unpredictable, raw.add(v, q.Bound())
 		}
-		bound := bin / 2
-		pred := field.Predict(lin, coord)
-		diff := v - pred
-		if math.IsNaN(diff) || math.IsInf(diff, 0) {
-			codes[lin] = quant.Unpredictable
-			recon[lin] = raw.addTol(v, bound)
-			return
-		}
-		var idx int
-		if diff >= 0 {
-			idx = int(diff/bin + 0.5)
-		} else {
-			idx = -int(-diff/bin + 0.5)
-		}
-		if idx > radius-1 || idx < -(radius-1) {
-			codes[lin] = quant.Unpredictable
-			recon[lin] = raw.addTol(v, bound)
-			return
-		}
-		rec := pred + float64(idx)*bin
-		if d := rec - v; d > bound || d < -bound {
-			codes[lin] = quant.Unpredictable
-			recon[lin] = raw.addTol(v, bound)
-			return
-		}
-		codes[lin] = idx + radius + 1
-		recon[lin] = rec
+		codes[lin], recon[lin] = code, rec
 	})
+	return encodePayload(codes, fixed.Alphabet(), &raw)
+}
 
-	payload, err := encodePayload(codes, 2*radius+1, raw)
+// reconstructField inverts quantizeField over decoded codes.
+func reconstructField(codes []int, raw *rawDecoder, dims []int, intervals int, bound float64, bounds []float64) ([]float64, error) {
+	recon := make([]float64, len(codes))
+	field, err := predictor.NewField(recon, dims)
 	if err != nil {
 		return nil, err
 	}
-	return assemble(modePWR, dims, relBound, opt, payload, blockExps)
+	fixed := *quant.New(bound, intervals)
+	alphabet := fixed.Alphabet()
+	var werr error
+	field.Walk(func(lin int, coord []int) {
+		if werr != nil {
+			return
+		}
+		switch code := codes[lin]; {
+		case code == quant.Unpredictable:
+			recon[lin], werr = raw.next()
+		case code < 0 || code >= alphabet:
+			werr = ErrCorrupt
+		case bounds == nil:
+			recon[lin] = fixed.Reconstruct(code, field.Predict(lin, coord))
+		default:
+			recon[lin] = quant.New(bounds[lin], intervals).Reconstruct(code, field.Predict(lin, coord))
+		}
+	})
+	return recon, werr
 }
 
-// blockBounds computes the per-block bound exponent e (so that the block's
-// absolute bound 2^e <= relBound × min nonzero |v| — rounding down to a
-// power of two keeps the bound valid and serializes compactly) and expands
-// it to a per-point quantization bin width (2×bound). The sentinel
-// zeroBlockExp marks blocks with no finite nonzero value, which are stored
-// verbatim.
-func blockBounds(data []float64, dims []int, relBound float64, side int) ([]int, []float64, error) {
+// blockExps computes each block's bound exponent e, so that the block's
+// absolute bound 2^e <= relBound × min nonzero |v| (rounding down to a
+// power of two keeps the bound valid and serializes compactly). The
+// sentinel zeroBlockExp marks blocks with no finite nonzero value, which
+// are stored verbatim.
+func blockExps(data []float64, dims []int, relBound float64, side int) ([]int, error) {
 	strides := grid.Strides(dims)
 	var exps []int
-	pointBin := make([]float64, len(data))
 	err := grid.Blocks(dims, side, func(b grid.Block) error {
 		minAbs := math.Inf(1)
-		hasFinite := false
 		b.ForEach(strides, func(lin int) {
-			v := math.Abs(data[lin])
-			if v > 0 && !math.IsInf(v, 0) && !math.IsNaN(v) {
-				hasFinite = true
-				if v < minAbs {
-					minAbs = v
-				}
+			if v := math.Abs(data[lin]); v > 0 && v < minAbs {
+				minAbs = v
 			}
 		})
 		e := zeroBlockExp
-		bin := 0.0
-		if hasFinite {
-			fe := int(math.Floor(math.Log2(relBound * minAbs)))
-			if fe < minBlockExp {
-				fe = minBlockExp
-			}
-			if fe > 60 {
-				fe = 60
-			}
-			bin = math.Exp2(float64(fe)) * 2 // bin = 2*bound'
-			e = fe
+		if !math.IsInf(minAbs, 0) {
+			e = min(max(int(math.Floor(math.Log2(relBound*minAbs))), minBlockExp), 60)
 		}
-		b.ForEach(strides, func(lin int) { pointBin[lin] = bin })
 		exps = append(exps, e)
 		return nil
 	})
-	if err != nil {
-		return nil, nil, err
+	return exps, err
+}
+
+// pointBounds expands per-block exponents to each point's absolute bound
+// (0 in a zero block, whose points the quantizer then refuses).
+func pointBounds(exps []int, dims []int, side int) ([]float64, error) {
+	strides := grid.Strides(dims)
+	bounds := make([]float64, grid.Size(dims))
+	bi := 0
+	err := grid.Blocks(dims, side, func(b grid.Block) error {
+		if bi >= len(exps) {
+			return ErrCorrupt
+		}
+		bound := 0.0
+		if e := exps[bi]; e != zeroBlockExp {
+			bound = math.Exp2(float64(e))
+		}
+		b.ForEach(strides, func(lin int) { bounds[lin] = bound })
+		bi++
+		return nil
+	})
+	if err == nil && bi != len(exps) {
+		err = ErrCorrupt
 	}
-	return exps, pointBin, nil
+	return bounds, err
 }
 
 // rawEncoder accumulates verbatim ("unpredictable") values with
 // error-bounded truncation, exactly as SZ's binary-representation analysis
 // stores outliers.
 type rawEncoder struct {
-	tol   float64
 	buf   []byte
 	count int
 }
 
-func newRawEncoder(tol float64) *rawEncoder { return &rawEncoder{tol: tol} }
-
-// add stores v truncated to the encoder-wide tolerance, returning the
+// add stores v truncated to the given tolerance (0 = exact), returning the
 // truncated value actually stored.
-func (r *rawEncoder) add(v float64) float64 { return r.addTol(v, r.tol) }
-
-// addTol stores v truncated to the given tolerance (0 = exact).
-func (r *rawEncoder) addTol(v, tol float64) float64 {
-	tv, nb := floatbits.TruncateToError(v, tol)
+func (r *rawEncoder) add(v, tol float64) float64 {
+	tv, _ := floatbits.TruncateToError(v, tol)
 	bits := math.Float64bits(tv)
-	// Drop trailing zero bytes; nb from TruncateToError already reflects
-	// this but recompute defensively for the tol==0 path.
-	nb = 8
+	// Drop trailing zero bytes (TruncateToError keeps at least two).
+	nb := 8
 	for nb > 0 && bits&0xff == 0 {
 		bits >>= 8
 		nb--
@@ -428,25 +400,20 @@ func decodePayload(payload []byte) (codes []int, raw *rawDecoder, err error) {
 }
 
 // assemble builds the final self-describing stream and applies the lossless
-// stage. blockExps is non-nil only for PWR mode.
-func assemble(mode int, dims []int, bound float64, opt Options, payload []byte, blockExps []int) ([]byte, error) {
+// stage. exps is non-nil only for PWR mode.
+func assemble(mode int, dims []int, bound float64, opt Options, payload []byte, exps []int) ([]byte, error) {
 	head := make([]byte, 0, 64)
 	head = binary.BigEndian.AppendUint32(head, magic)
 	head = append(head, byte(mode))
-	head = bitio.AppendUvarint(head, uint64(len(dims)))
-	for _, d := range dims {
-		head = bitio.AppendUvarint(head, uint64(d))
-	}
+	head = grid.AppendDims(head, dims)
 	head = binary.BigEndian.AppendUint64(head, math.Float64bits(bound))
 	head = bitio.AppendUvarint(head, uint64(opt.Intervals))
 	head = bitio.AppendUvarint(head, uint64(opt.BlockSide))
 
 	body := payload
-	if blockExps != nil {
-		// Serialize block exponent list ahead of the payload.
-		bb := bitio.AppendUvarint(nil, uint64(len(blockExps)))
-		bb = append(bb, encodeBlockExps(blockExps)...)
-		body = append(bb, payload...)
+	if exps != nil {
+		// The block exponent list goes ahead of the payload.
+		body = append(appendBlockExps(nil, exps), payload...)
 	}
 
 	flags := byte(0)
@@ -467,99 +434,29 @@ func assemble(mode int, dims []int, bound float64, opt Options, payload []byte, 
 	return append(out, body...), nil
 }
 
+// header holds a stream's fixed fields.
+type header struct {
+	mode      int
+	dims      []int
+	bound     float64 // absolute (modeAbs) or point-wise relative (modePWR)
+	intervals int
+	blockSide int
+}
+
 // Decompress decodes any stream produced by CompressAbs or CompressPWR,
 // returning the reconstructed data and its dimensions.
 func Decompress(buf []byte) ([]float64, []int, error) {
-	mode, dims, bound, intervals, blockSide, body, err := parseHeader(buf)
+	h, body, err := parseHeader(buf)
 	if err != nil {
 		return nil, nil, err
 	}
-	n := grid.Size(dims)
-	switch mode {
-	case modeAbs:
-		return decompressAbs(dims, n, bound, intervals, body)
-	case modePWR:
-		return decompressPWR(dims, n, bound, intervals, blockSide, body)
-	default:
-		return nil, nil, ErrCorrupt
-	}
-}
-
-func parseHeader(buf []byte) (mode int, dims []int, bound float64, intervals, blockSide int, body []byte, err error) {
-	if len(buf) < 5 || binary.BigEndian.Uint32(buf) != magic {
-		err = ErrCorrupt
-		return
-	}
-	mode = int(buf[4])
-	off := 5
-	rank, k := bitio.Uvarint(buf[off:])
-	if k == 0 || rank == 0 || rank > maxRank {
-		err = ErrCorrupt
-		return
-	}
-	off += k
-	dims = make([]int, rank)
-	for i := range dims {
-		d, k := bitio.Uvarint(buf[off:])
-		if k == 0 || d == 0 || d > 1<<40 {
-			err = ErrCorrupt
-			return
+	n := grid.Size(h.dims)
+	var exps []int
+	if h.mode == modePWR {
+		if exps, body, err = decodeBlockExps(body, n); err != nil {
+			return nil, nil, err
 		}
-		dims[i] = int(d)
-		off += k
 	}
-	if err2 := grid.Validate(dims, -1); err2 != nil {
-		err = ErrCorrupt
-		return
-	}
-	if off+8 > len(buf) {
-		err = ErrCorrupt
-		return
-	}
-	bound = math.Float64frombits(binary.BigEndian.Uint64(buf[off:]))
-	off += 8
-	iv, k := bitio.Uvarint(buf[off:])
-	if k == 0 || iv < 2 || iv > 1<<24 {
-		err = ErrCorrupt
-		return
-	}
-	intervals = int(iv)
-	off += k
-	bs, k := bitio.Uvarint(buf[off:])
-	if k == 0 || bs == 0 || bs > 1<<20 {
-		err = ErrCorrupt
-		return
-	}
-	blockSide = int(bs)
-	off += k
-	if off >= len(buf) {
-		err = ErrCorrupt
-		return
-	}
-	flags := buf[off]
-	off++
-	blen, k := bitio.Uvarint(buf[off:])
-	if k == 0 || blen > uint64(len(buf)-off-k) {
-		err = ErrCorrupt
-		return
-	}
-	off += k
-	body = buf[off : off+int(blen)]
-	if flags&flagFlate != 0 {
-		dec, err2 := deflate.Decompress(body, 1<<34)
-		if err2 != nil {
-			err = fmt.Errorf("%w: %v", ErrCorrupt, err2)
-			return
-		}
-		body = dec
-	}
-	if !(bound > 0) || math.IsNaN(bound) || math.IsInf(bound, 0) {
-		err = ErrCorrupt
-	}
-	return
-}
-
-func decompressAbs(dims []int, n int, bound float64, intervals int, body []byte) ([]float64, []int, error) {
 	codes, raw, err := decodePayload(body)
 	if err != nil {
 		return nil, nil, err
@@ -567,140 +464,107 @@ func decompressAbs(dims []int, n int, bound float64, intervals int, body []byte)
 	if len(codes) != n {
 		return nil, nil, ErrCorrupt
 	}
-	recon := make([]float64, n)
-	field, err := predictor.NewField(recon, dims)
+	var bounds []float64
+	if h.mode == modePWR {
+		if bounds, err = pointBounds(exps, h.dims, h.blockSide); err != nil {
+			return nil, nil, err
+		}
+	}
+	recon, err := reconstructField(codes, raw, h.dims, h.intervals, h.bound, bounds)
 	if err != nil {
 		return nil, nil, err
 	}
-	q := quant.New(bound, intervals)
-	alphabet := q.Alphabet()
-	var werr error
-	field.Walk(func(lin int, coord []int) {
-		if werr != nil {
-			return
-		}
-		code := codes[lin]
-		if code == quant.Unpredictable {
-			v, err := raw.next()
-			if err != nil {
-				werr = err
-				return
-			}
-			recon[lin] = v
-			return
-		}
-		if code < 0 || code >= alphabet {
-			werr = ErrCorrupt
-			return
-		}
-		recon[lin] = q.Reconstruct(code, field.Predict(lin, coord))
-	})
-	if werr != nil {
-		return nil, nil, werr
-	}
-	return recon, dims, nil
+	return recon, h.dims, nil
 }
 
-func decompressPWR(dims []int, n int, relBound float64, intervals, blockSide int, body []byte) ([]float64, []int, error) {
-	nblocks, k := bitio.Uvarint(body)
-	if k == 0 || nblocks > uint64(n) {
-		return nil, nil, ErrCorrupt
+// parseHeader reads the fixed fields and returns them with the body,
+// inflated when the lossless stage was kept.
+func parseHeader(buf []byte) (h header, body []byte, err error) {
+	if len(buf) < 5 || binary.BigEndian.Uint32(buf) != magic {
+		return h, nil, ErrCorrupt
 	}
-	off := k
-	exps, used, err := decodeBlockExps(body[off:], int(nblocks))
+	h.mode = int(buf[4])
+	if h.mode != modeAbs && h.mode != modePWR {
+		return h, nil, ErrCorrupt
+	}
+	dims, off, err := grid.ParseDims(buf[5:], maxRank)
 	if err != nil {
-		return nil, nil, err
+		return h, nil, ErrCorrupt
 	}
-	off += used
-	codes, raw, err := decodePayload(body[off:])
-	if err != nil {
-		return nil, nil, err
+	h.dims = dims
+	off += 5
+	if off+8 > len(buf) {
+		return h, nil, ErrCorrupt
 	}
-	if len(codes) != n {
-		return nil, nil, ErrCorrupt
+	h.bound = math.Float64frombits(binary.BigEndian.Uint64(buf[off:]))
+	off += 8
+	if !(h.bound > 0) || math.IsNaN(h.bound) || math.IsInf(h.bound, 0) {
+		return h, nil, ErrCorrupt
 	}
-	// Expand per-point bins.
-	strides := grid.Strides(dims)
-	pointBin := make([]float64, n)
-	bi := 0
-	err = grid.Blocks(dims, blockSide, func(b grid.Block) error {
-		if bi >= len(exps) {
-			return ErrCorrupt
+	iv, k := bitio.Uvarint(buf[off:])
+	if k == 0 || iv < 2 || iv > 1<<24 {
+		return h, nil, ErrCorrupt
+	}
+	h.intervals = int(iv)
+	off += k
+	bs, k := bitio.Uvarint(buf[off:])
+	if k == 0 || bs == 0 || bs > 1<<20 {
+		return h, nil, ErrCorrupt
+	}
+	h.blockSide = int(bs)
+	off += k
+	if off >= len(buf) {
+		return h, nil, ErrCorrupt
+	}
+	flags := buf[off]
+	off++
+	blen, k := bitio.Uvarint(buf[off:])
+	if k == 0 || blen > uint64(len(buf)-off-k) {
+		return h, nil, ErrCorrupt
+	}
+	off += k
+	body = buf[off : off+int(blen)]
+	if flags&flagFlate != 0 {
+		if body, err = deflate.Decompress(body, 1<<34); err != nil {
+			return h, nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 		}
-		bin := 0.0
-		if e := exps[bi]; e != zeroBlockExp {
-			bin = math.Exp2(float64(e)) * 2
-		}
-		b.ForEach(strides, func(lin int) { pointBin[lin] = bin })
-		bi++
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
 	}
-	if bi != len(exps) {
-		return nil, nil, ErrCorrupt
-	}
-
-	recon := make([]float64, n)
-	field, err := predictor.NewField(recon, dims)
-	if err != nil {
-		return nil, nil, err
-	}
-	radius := intervals / 2
-	var werr error
-	field.Walk(func(lin int, coord []int) {
-		if werr != nil {
-			return
-		}
-		code := codes[lin]
-		if code == quant.Unpredictable {
-			v, err := raw.next()
-			if err != nil {
-				werr = err
-				return
-			}
-			recon[lin] = v
-			return
-		}
-		if code < 1 || code > 2*radius {
-			werr = ErrCorrupt
-			return
-		}
-		recon[lin] = field.Predict(lin, coord) + float64(code-radius-1)*pointBin[lin]
-	})
-	if werr != nil {
-		return nil, nil, werr
-	}
-	return recon, dims, nil
+	return h, body, nil
 }
 
 // Block exponents are small signed integers in [-1060, 60] plus an all-zero
-// sentinel; serialize as zigzag uvarints.
+// sentinel; serialize as a count and zigzag uvarints.
 const zeroBlockExp = 1 << 20
 
-func encodeBlockExps(exps []int) []byte {
-	out := make([]byte, 0, len(exps)*2)
+func appendBlockExps(dst []byte, exps []int) []byte {
+	dst = bitio.AppendUvarint(dst, uint64(len(exps)))
 	for _, e := range exps {
-		out = bitio.AppendUvarint(out, bitio.ZigZag(int64(e)))
+		dst = bitio.AppendUvarint(dst, bitio.ZigZag(int64(e)))
 	}
-	return out
+	return dst
 }
 
-func decodeBlockExps(data []byte, n int) ([]int, int, error) {
-	exps := make([]int, n)
-	off := 0
-	for i := 0; i < n; i++ {
-		u, k := bitio.Uvarint(data[off:])
+// decodeBlockExps reads the list appendBlockExps wrote for a field of n
+// points and returns it with the bytes that follow.
+func decodeBlockExps(body []byte, n int) ([]int, []byte, error) {
+	count, off := bitio.Uvarint(body)
+	// Each exponent takes at least one byte, so a count past the bytes
+	// left is refused before it sizes the list.
+	if off == 0 || count > uint64(n) || count > uint64(len(body)-off) {
+		return nil, nil, ErrCorrupt
+	}
+	exps := make([]int, count)
+	for i := range exps {
+		u, k := bitio.Uvarint(body[off:])
 		if k == 0 {
-			return nil, 0, ErrCorrupt
+			return nil, nil, ErrCorrupt
 		}
 		off += k
 		v := bitio.UnZigZag(u)
 		if v != zeroBlockExp && (v < minBlockExp || v > 62) {
-			return nil, 0, ErrCorrupt
+			return nil, nil, ErrCorrupt
 		}
 		exps[i] = int(v)
 	}
-	return exps, off, nil
+	return exps, body[off:], nil
 }

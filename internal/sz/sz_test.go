@@ -578,13 +578,35 @@ func TestHostileHuffmanTableMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	refuseUnder8KiB(t, stream)
+}
+
+// TestHostileBlockCountMemory: an SZ_PWR stream whose block list declares
+// 2^21 exponents in its 4 bytes must fail without sizing the list for
+// them, since each exponent takes at least one byte.
+func TestHostileBlockCountMemory(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("the race detector's own allocations swamp the ceiling")
+	}
+	opt := (&Options{Lossless: LosslessOff}).withDefaults()
+	stream, err := assemble(modePWR, []int{1 << 24}, 1e-2, opt, bitio.AppendUvarint(nil, 1<<21), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refuseUnder8KiB(t, stream)
+}
+
+// refuseUnder8KiB asserts that decoding stream fails and allocates under
+// 8 KiB on the way.
+func refuseUnder8KiB(t *testing.T, stream []byte) {
+	t.Helper()
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	_, _, err = Decompress(stream)
+	_, _, err := Decompress(stream)
 	runtime.ReadMemStats(&after)
 	if err == nil {
-		t.Fatal("a stream of 8 codes for 600 points decoded without error")
+		t.Fatal("a hostile stream decoded without error")
 	}
 	if n := after.TotalAlloc - before.TotalAlloc; n >= 8<<10 {
 		t.Fatalf("refusing a %d-byte stream allocated %d bytes", len(stream), n)

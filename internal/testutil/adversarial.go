@@ -4,8 +4,8 @@ package testutil
 // checker behind the property-based harness (pwr_property_test.go at
 // the repository root): deterministic seeded fields engineered to
 // stress Theorem 2's guarantee — sign flips, exact zeros, constant
-// blocks, subnormals, and magnitude skews spanning 12+ orders — plus
-// CheckPWR, which asserts the bound element by element.
+// blocks, subnormals, NaN and ±Inf, and magnitude skews spanning 12+
+// orders — plus CheckPWR, which asserts the bound element by element.
 
 import (
 	"math"
@@ -156,6 +156,28 @@ func AdversarialFields(seed int64) []AdversarialField {
 			data[i] = 42.125
 		}
 		out = append(out, AdversarialField{Name: "constant-1d", Dims: []int{128}, Data: data})
+	}
+
+	// Non-finite values: NaN (of both signs, some with tiny payloads)
+	// and ±Inf among signed values must decode as NaN and the exact
+	// infinity. ZFP's precision mode refuses non-finite input.
+	{
+		const ny, nx = 12, 16
+		specials := []float64{
+			math.NaN(), math.Inf(1), math.Inf(-1),
+			math.Float64frombits(0x7FF0000000000001), math.Float64frombits(0xFFF0000000000001),
+		}
+		data := make([]float64, ny*nx)
+		for i := range data {
+			data[i] = (1 + rng.Float64()) * math.Pow(10, float64(rng.Intn(7)-3))
+			if rng.Intn(3) == 0 {
+				data[i] = -data[i]
+			}
+			if i%7 == 3 {
+				data[i] = specials[(i/7)%len(specials)]
+			}
+		}
+		out = append(out, AdversarialField{Name: "nonfinite-2d", Dims: []int{ny, nx}, Data: data, Extreme: true})
 	}
 
 	return out

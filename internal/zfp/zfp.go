@@ -124,10 +124,7 @@ func compress(data []float64, dims []int, mode int, tol float64, prec int) ([]by
 	head = binary.BigEndian.AppendUint32(head, magic)
 	//lint:allow intnarrow mode is one of the three small mode constants
 	head = append(head, byte(mode))
-	head = bitio.AppendUvarint(head, uint64(rank))
-	for _, d := range dims {
-		head = bitio.AppendUvarint(head, uint64(d))
-	}
+	head = grid.AppendDims(head, dims)
 	if mode == modeAcc {
 		head = binary.BigEndian.AppendUint64(head, math.Float64bits(tol))
 	} else {
@@ -163,27 +160,12 @@ func Decompress(buf []byte) ([]float64, []int, error) {
 	if mode != modeAcc && mode != modePrec && mode != modeRate {
 		return nil, nil, ErrCorrupt
 	}
-	off := 5
-	rankU, k := bitio.Uvarint(buf[off:])
-	if k == 0 || rankU == 0 || rankU > maxRank {
+	dims, off, err := grid.ParseDims(buf[5:], maxRank)
+	if err != nil {
 		return nil, nil, ErrCorrupt
 	}
-	off += k
-	//lint:allow intnarrow guarded above: rankU <= maxRank
-	rank := int(rankU)
-	dims := make([]int, rank)
-	for i := range dims {
-		d, k := bitio.Uvarint(buf[off:])
-		if k == 0 || d == 0 || d > 1<<40 {
-			return nil, nil, ErrCorrupt
-		}
-		//lint:allow intnarrow guarded above: d <= 1<<40
-		dims[i] = int(d)
-		off += k
-	}
-	if err := grid.Validate(dims, -1); err != nil {
-		return nil, nil, ErrCorrupt
-	}
+	off += 5
+	rank := len(dims)
 	minexp, prec := 0, 0
 	if mode == modeAcc {
 		if off+8 > len(buf) {
@@ -225,7 +207,7 @@ func Decompress(buf []byte) ([]float64, []int, error) {
 	block := make([]float64, bs)
 	iblock := make([]int64, bs)
 	ublock := make([]uint64, bs)
-	err := grid.Blocks(dims, 4, func(b grid.Block) error {
+	err = grid.Blocks(dims, 4, func(b grid.Block) error {
 		if err := decodeBlock(r, block, rank, mode, minexp, prec, iblock, ublock); err != nil {
 			return err
 		}

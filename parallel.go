@@ -91,24 +91,11 @@ func decompressParallel(cfg *StreamConfig, buf []byte) ([]float64, []int, error)
 	if buf[0] != parallelMagic {
 		return nil, nil, fmt.Errorf("%w: leading byte 0x%02x is not a parallel container", ErrUnsupportedFormat, buf[0])
 	}
-	off := 2
-	rankU, k := bitio.Uvarint(buf[off:])
-	if k == 0 || rankU == 0 || rankU > grid.MaxDims {
-		return nil, nil, fmt.Errorf("%w: rank %d", ErrCorrupted, rankU)
-	}
-	off += k
-	dims := make([]int, rankU)
-	for i := range dims {
-		d, k := bitio.Uvarint(buf[off:])
-		if k == 0 || d == 0 || d > 1<<40 {
-			return nil, nil, fmt.Errorf("%w: dimension %d", ErrCorrupted, d)
-		}
-		dims[i] = int(d)
-		off += k
-	}
-	if err := grid.Validate(dims, -1); err != nil {
+	dims, off, err := grid.ParseDims(buf[2:], grid.MaxDims)
+	if err != nil {
 		return nil, nil, fmt.Errorf("%w: %v", ErrCorrupted, err)
 	}
+	off += 2
 	if err := limits.checkElements(int64(grid.Size(dims))); err != nil {
 		return nil, nil, err
 	}

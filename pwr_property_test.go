@@ -297,6 +297,8 @@ func stats(data []float64) fieldStats {
 	const minNormal = 2.2250738585072014e-308
 	for _, v := range data {
 		switch {
+		case math.IsNaN(v) || math.IsInf(v, 0):
+			continue // non-finite values have no magnitude to skew
 		case v == 0:
 			st.zeros++
 			continue
